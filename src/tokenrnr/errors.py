@@ -1,6 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these to exit codes: ConfigError -> 2, InvariantError -> 3.
+The field checks below turn a config value of the wrong type into a
+ConfigError instead of a TypeError or ValueError from deep inside a run.
 """
 
 
@@ -10,3 +12,26 @@ class ConfigError(ValueError):
 
 class InvariantError(RuntimeError):
     """A runtime invariant was violated mid-run (non-finite state, checksum drift...)."""
+
+
+def config_int(name: str, value) -> int:
+    """`value` as an int, or a ConfigError naming the field if it is not a
+    whole number (a string, None, 2.5 and inf are all rejected)."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return whole
+
+
+def config_int_triple(name: str, value) -> tuple[int, int, int]:
+    """`value` as three positive ints, or a ConfigError naming the field."""
+    try:
+        items = tuple(config_int(name, x) for x in value)
+    except (TypeError, ConfigError):
+        items = ()
+    if len(items) != 3 or min(items) < 1:
+        raise ConfigError(f"{name} must be three positive ints, got {value!r}")
+    return items

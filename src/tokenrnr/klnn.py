@@ -7,7 +7,12 @@ Given samples X' ~ P' (l' rows) and X ~ P (l rows), the estimate is
 where rho_k(i) is the distance from X'_i to its k-th nearest neighbor within
 X' (excluding itself) and nu_k(i) the distance to its k-th nearest neighbor
 in X. Neighbor search is exact brute force: desk-scale sample counts make
-index structures unnecessary.
+index structures unnecessary. Queries are processed in chunks of 2^18
+squared distances, small enough to stay in cache, and each row's k-th
+smallest distance is selected by argmin knockouts (the current minimum is set
+to inf, k - 1 times, or k times when self is excluded) and one min pass, so
+the selection cost grows linearly with k. The package's callers use k = 1:
+no knockout for nu, one for rho.
 
 Exact zero distances (coincident points) are floored at DISTANCE_FLOOR; the
 underlying theory assumes continuous densities where that event has measure
@@ -23,12 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Matrix, pairwise_sq_dists
+from .core import Matrix, pairwise_sq_dists, sq_dist_refine_scale
 from .rnr import ReductionPlan
 
 DISTANCE_FLOOR = 1e-12
 
-_QUERY_CHUNK = 1024
+# squared distances per query chunk, as in matching
+_KNN_CHUNK_ELEMS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -57,16 +63,29 @@ def knn_distances(queries: Matrix, points: Matrix, k: int,
     (the convention for queries drawn from `points` itself). Distances are
     selected on squared values and square-rooted afterwards; sqrt is monotone,
     so the order statistic is unchanged.
+
+    Queries are handled in chunks of `_KNN_CHUNK_ELEMS` distance entries, and
+    every chunk refines near-zero distances against the scale of the whole
+    query and point sets, so the result does not depend on how the queries
+    are chunked. Within a chunk the k-th smallest entry of each row is found
+    in place: k - 1 times (k with exclude_self) the row's argmin entry is set
+    to inf, then the row minimum is taken. Each knockout removes exactly one
+    occurrence, so ties count with their multiplicity, as in a sort.
     """
     usable = points.shape[0] - (1 if exclude_self else 0)
     if k < 1 or k > usable:
         raise ValueError(f"k={k} out of range for {points.shape[0]} points"
                          f"{' (self-excluded)' if exclude_self else ''}")
     kth = k + (1 if exclude_self else 0)
+    scale = sq_dist_refine_scale(queries, points)
+    chunk = max(1, _KNN_CHUNK_ELEMS // points.shape[0])
     out = np.empty(queries.shape[0])
-    for i in range(0, queries.shape[0], _QUERY_CHUNK):
-        d2 = pairwise_sq_dists(queries[i:i + _QUERY_CHUNK], points)
-        out[i:i + _QUERY_CHUNK] = np.partition(d2, kth - 1, axis=1)[:, kth - 1]
+    for i in range(0, queries.shape[0], chunk):
+        d2 = pairwise_sq_dists(queries[i:i + chunk], points, scale)
+        rows = np.arange(d2.shape[0])
+        for _ in range(kth - 1):
+            d2[rows, d2.argmin(axis=1)] = np.inf
+        out[i:i + chunk] = d2.min(axis=1)
     return np.sqrt(out)
 
 

@@ -14,6 +14,7 @@ invariant otherwise.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -23,7 +24,7 @@ import numpy as np
 from . import flops
 from .core import (Matrix, TokenGrid, checksum_matrix, rope3d_tables,
                    apply_rope_tables)
-from .errors import ConfigError, InvariantError
+from .errors import ConfigError, InvariantError, config_int, config_int_triple
 from .matching import DEFAULT_METRIC, partition_3d, pairwise_best_match
 from .rnr import REDUCE_OPS, attn_plain, build_plan, reduce_tokens, restore_tokens
 from .schedule import (MatchingCache, PROFILE_FEATURES, ScheduleConfig,
@@ -57,11 +58,13 @@ class PipelineConfig:
     collect_norms: bool = False
 
     def __post_init__(self):
-        self.grid_shape = tuple(int(x) for x in self.grid_shape)
-        if len(self.grid_shape) != 3 or min(self.grid_shape) < 1:
-            raise ConfigError(f"grid_shape must be three positive ints, got {self.grid_shape}")
+        self.grid_shape = config_int_triple("grid_shape", self.grid_shape)
+        for name in ("feature_dim", "num_blocks", "num_heads", "num_timesteps", "seed"):
+            setattr(self, name, config_int(name, getattr(self, name)))
         if min(self.feature_dim, self.num_blocks, self.num_heads, self.num_timesteps) < 1:
             raise ConfigError("all size fields must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.feature_dim % self.num_heads != 0:
             raise ConfigError(
                 f"feature_dim {self.feature_dim} not divisible by num_heads {self.num_heads}")
@@ -69,7 +72,8 @@ class PipelineConfig:
             raise ConfigError(f"rnr_mode must be one of {RNR_MODES}, got {self.rnr_mode!r}")
         if self.reduce_op not in REDUCE_OPS:
             raise ConfigError(f"reduce_op must be one of {REDUCE_OPS}")
-        if not (0.0 <= self.duplicate_fraction < 1.0):
+        if not (isinstance(self.duplicate_fraction, numbers.Real)
+                and 0.0 <= self.duplicate_fraction < 1.0):
             raise ConfigError("duplicate_fraction must lie in [0, 1)")
 
     @property

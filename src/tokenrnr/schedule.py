@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, config_int, config_int_triple
 from .matching import DEFAULT_METRIC, METRICS, MatchResult, Partition, \
     pairwise_best_match, standardize_profile
 
@@ -64,11 +64,10 @@ class ScheduleConfig:
                     f"schedules may only reference features {SCHEDULABLE_FEATURES}, "
                     f"got {feature!r} (K always follows V)")
         self.rules = {f: _as_rule_list(r) for f, r in self.rules.items()}
+        self.cache_step = config_int("cache_step", self.cache_step)
         if self.cache_step < 1:
             raise ConfigError(f"cache_step must be >= 1, got {self.cache_step}")
-        self.stride = tuple(int(s) for s in self.stride)
-        if len(self.stride) != 3 or min(self.stride) < 1:
-            raise ConfigError(f"stride must be three positive ints, got {self.stride}")
+        self.stride = config_int_triple("stride", self.stride)
         if self.metric not in METRICS:
             raise ConfigError(f"unknown metric {self.metric!r}")
 
@@ -110,8 +109,8 @@ class ScheduleConfig:
                 raise ConfigError(f"bad threshold/rate in entry {key!r}: {exc}") from exc
         return ScheduleConfig(
             rules=rules,
-            cache_step=int(payload.get("cache_step", 5)),
-            stride=tuple(payload.get("stride", (2, 2, 2))),
+            cache_step=payload.get("cache_step", 5),
+            stride=payload.get("stride", (2, 2, 2)),
             metric=payload.get("metric", DEFAULT_METRIC),
         )
 

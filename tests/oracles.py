@@ -60,9 +60,10 @@ def exhaustive_match(sims):
 def sort_based_knn(points, query, k, exclude_self=False):
     """k-th order statistic by fully sorting all distances.
 
-    Shares the library's distance kernel and exercises the selection logic
-    (full sort vs partition) independently; `naive_distances` below provides
-    the independent-arithmetic route, which is tolerance-checked.
+    Shares the library's distance kernel and checks the selection logic
+    independently (a full sort vs the library's argmin knockouts);
+    `naive_distances` below provides the independent-arithmetic route, which
+    is tolerance-checked.
     """
     from tokenrnr.core import pairwise_sq_dists
 

@@ -62,6 +62,19 @@ class TestProfileCommand:
         assert main(["profile", "--config", str(bad),
                      "--out", str(tmp_path / "x.json")]) == 2
 
+    @pytest.mark.parametrize("field, payload", [
+        ("grid_shape", {"grid_shape": "abc"}),
+        ("num_blocks", {"num_blocks": "x"}),
+        ("cache_step", {"schedule": {"cache_step": "five"}}),
+        ("seed", {"seed": -1}),
+    ])
+    def test_bad_field_value_exits_2(self, tmp_path, capsys, field, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["profile", "--config", str(bad),
+                     "--out", str(tmp_path / "x.json")]) == 2
+        assert field in capsys.readouterr().err
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["profile", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "x.json")]) == 2

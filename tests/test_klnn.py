@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tokenrnr import klnn
 from tokenrnr.core import make_rng
 from tokenrnr.klnn import (kl_estimate, knn_density, knn_distance, knn_distances,
                            score_reduction, unit_ball_volume)
@@ -75,6 +76,40 @@ class TestKnnDistance:
         for i, q in enumerate(queries):
             assert batch[i] == pytest.approx(knn_distance(points, q, k=2),
                                              rel=1e-12)
+
+    @pytest.mark.parametrize("chunk_rows", [2, 7, 20])
+    def test_near_zero_refine_does_not_depend_on_chunking(self, monkeypatch,
+                                                          chunk_rows):
+        # query 3 sits 3e-3 from points[11]; query 15, scaled by 1e3, raises
+        # the refine scale of the whole set, so query 3's nearest distance is
+        # recomputed exactly whichever chunk it shares
+        rng = make_rng(0)
+        points = rng.standard_normal((300, 8))
+        queries = rng.standard_normal((20, 8))
+        queries[3] = points[11] + 3e-3 * rng.standard_normal(8)
+        queries[15] *= 1e3
+        monkeypatch.setattr(klnn, "_KNN_CHUNK_ELEMS", chunk_rows * len(points))
+        want = np.sqrt(((queries[3] - points) ** 2).sum(1)).min()
+        assert knn_distances(queries, points, 1)[3] == want
+
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    def test_selection_is_exact_with_ties_across_chunks(self, monkeypatch,
+                                                        exclude_self):
+        # integer coordinates make every distance exact, and each point is
+        # present 2-3 times, so every row has ties; 23 queries in chunks of 5
+        # rows give four full chunks and a short last one
+        rng = make_rng(11)
+        uniq = rng.integers(-3, 4, size=(12, 3)).astype(np.float64)
+        points = np.repeat(uniq, rng.integers(2, 4, size=12), axis=0)
+        queries = np.vstack([points[:17],
+                             rng.integers(-3, 4, size=(6, 3)).astype(np.float64)])
+        monkeypatch.setattr(klnn, "_KNN_CHUNK_ELEMS", 5 * len(points))
+        skip = 1 if exclude_self else 0
+        direct = np.sort(np.sqrt(((queries[:, None, :] - points[None]) ** 2).sum(2)),
+                         axis=1)
+        for k in range(1, 5):
+            got = knn_distances(queries, points, k, exclude_self=exclude_self)
+            assert np.array_equal(got, direct[:, k - 1 + skip])
 
 
 class TestKlEstimate:

@@ -4,10 +4,11 @@ Library layout:
 
 - core: matrices, softmax, 3D rotary embedding, seeded RNG
 - matching: strided 3D partitioning, similarity metrics, bipartite matching
-- rnr: reduction plans, reduce/restore, plain and reduced attention
+- rnr: reduction plans, reduce/restore, multi-head plain attention
 - klnn: k-NN Kullback-Leibler divergence estimation
 - schedule: similarity profiles, threshold schedules, matching cache, tuning
-- pipeline: synthetic multi-block denoising pipeline over 3D token grids
+- pipeline: the symmetric and asymmetric RnR operators and the synthetic
+  multi-block denoising pipeline over 3D token grids that runs them
 - flops: analytical multiply-add cost model
 - cli: profiling / benchmarking / ablation command line
 """
@@ -19,9 +20,10 @@ from .klnn import KlEstimate, kl_estimate, knn_distance, knn_distances, \
     score_reduction, unit_ball_volume
 from .matching import MatchResult, Partition, partition_3d, pairwise_best_match, \
     similarity_matrix, standardize_profile
-from .pipeline import PipelineConfig, RunReport, inject_duplicates, run_pipeline
-from .rnr import (AttentionWeights, ReductionPlan, attn_asym_rnr, attn_plain,
-                  attn_sym_rnr, build_plan, reduce_tokens, restore_tokens)
+from .pipeline import (PipelineConfig, RunReport, attn_asym_rnr, attn_sym_rnr,
+                       inject_duplicates, run_pipeline)
+from .rnr import (ReductionPlan, attn_plain, build_plan, reduce_tokens,
+                  restore_tokens)
 from .schedule import (MatchingCache, ScheduleConfig, SimilarityProfile,
                        TuneResult, TuneStep, cached_match, lookup_rate,
                        record_profile, tune_schedule)
@@ -29,7 +31,7 @@ from .schedule import (MatchingCache, ScheduleConfig, SimilarityProfile,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttentionWeights", "ConfigError", "CostBreakdown", "InvariantError",
+    "ConfigError", "CostBreakdown", "InvariantError",
     "KlEstimate", "MatchResult", "MatchingCache", "Matrix", "Partition",
     "PipelineConfig", "ReductionPlan", "RunReport", "ScheduleConfig",
     "SimilarityProfile", "TokenGrid", "TuneResult", "TuneStep",

@@ -3,8 +3,6 @@ checks, and norm statistics. Everything emits CSV or JSON for external
 plotting; nothing is rendered in-process.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime invariant violation.
-Worker parallelism for ablation sweeps is capped by the RNR_THREADS
-environment variable (0 or unset = auto).
 """
 from __future__ import annotations
 
@@ -13,20 +11,18 @@ import csv
 import hashlib
 import json
 import math
-import os
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 
-from .core import make_rng
+from .core import TokenGrid, make_rng, spawn_rngs
 from .errors import ConfigError, InvariantError
 from .klnn import kl_estimate
 from .matching import METRICS, partition_3d, pairwise_best_match
-from .pipeline import PipelineConfig, RunReport, run_pipeline
+from .pipeline import PipelineConfig, RunReport, inject_duplicates, run_pipeline
 from .rnr import build_plan
 from .schedule import ScheduleConfig, SimilarityProfile
 
@@ -36,17 +32,6 @@ SCHEMA_VERSION = 1
 STRIDE_GRID = [(1, 2, 2), (2, 2, 2), (3, 2, 2), (4, 2, 2), (2, 3, 3), (2, 4, 4)]
 CACHE_STEP_GRID = [1, 2, 3, 4, 5, 6]
 ABLATE_DIMENSIONS = ("metric", "reduce_op", "cache_step", "stride", "feature")
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("RNR_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"RNR_THREADS must be an integer, got {raw!r}")
-    if value < 0:
-        raise ConfigError("RNR_THREADS must be >= 0")
-    return value if value > 0 else (os.cpu_count() or 1)
 
 
 def _load_config(args) -> PipelineConfig:
@@ -173,17 +158,17 @@ def _ablation_schedule(features: tuple[str, ...], rate: float, cache_step: int,
 _KL_SCORE_CAP = 2048
 
 
-def _kl_score_for(cfg: PipelineConfig, stride, metric: str, rate: float) -> float:
-    """Diagnostic divergence of a one-shot reduction of the initial tokens.
+def _kl_score_for(cfg: PipelineConfig, stride, metric: str,
+                  rate: float) -> tuple[float, float]:
+    """Diagnostic divergence of a one-shot reduction of the initial tokens,
+    and the destination ratio of the partition it drew.
 
-    On large grids both sample sets are thinned by a deterministic stride to
-    keep the brute-force neighbor search bounded; the score is comparative
-    across sweep points, not a calibrated divergence.
+    The initial tokens and the partition come from the same seeded streams
+    as the pipeline's. On large grids both sample sets are thinned by a
+    deterministic stride to keep the brute-force neighbor search bounded; the
+    score is comparative across sweep points, not a calibrated divergence.
     """
-    from .core import TokenGrid
-    from .pipeline import inject_duplicates, _streams
-
-    rng_init, _, rng_parts, rng_dup, rng_match = _streams(cfg.seed)
+    rng_init, _, rng_parts, rng_dup, rng_match = spawn_rngs(cfg.seed, 5)
     grid = TokenGrid.random(cfg.grid_shape, cfg.feature_dim, rng_init)
     if cfg.duplicate_fraction > 0.0:
         grid = inject_duplicates(grid, cfg.duplicate_fraction, rng_dup)
@@ -196,7 +181,7 @@ def _kl_score_for(cfg: PipelineConfig, stride, metric: str, rate: float) -> floa
         kept = kept[::math.ceil(len(kept) / _KL_SCORE_CAP)]
     if len(original) > 2 * _KL_SCORE_CAP:
         original = original[::math.ceil(len(original) / (2 * _KL_SCORE_CAP))]
-    return kl_estimate(kept, original, k=1).value
+    return kl_estimate(kept, original, k=1).value, part.dst_ratio
 
 
 def cmd_ablate(args) -> int:
@@ -236,7 +221,7 @@ def cmd_ablate(args) -> int:
         t0 = time.perf_counter()
         report = run_pipeline(point_cfg)
         wall_ms = (time.perf_counter() - t0) * 1e3
-        kl = _kl_score_for(point_cfg, sched.stride, sched.metric, rate)
+        kl, dst_ratio = _kl_score_for(point_cfg, sched.stride, sched.metric, rate)
         deviation = float(np.abs(report.final_tokens - base_report.final_tokens).max())
         bsm_counts = {}
         for rec in report.records:
@@ -244,17 +229,12 @@ def cmd_ablate(args) -> int:
                 key = (feature, rec.b)
                 bsm_counts[key] = bsm_counts.get(key, 0) + 1
         bsm_per_fb = max(bsm_counts.values()) if bsm_counts else 0
-        ratio = 100.0 * _dst_ratio(point_cfg.grid_shape, sched.stride)
         return [SCHEMA_VERSION, args.dimension, label, report.total_macs,
                 f"{wall_ms:.3f}", f"{kl:.6f}", f"{deviation:.6e}",
-                bsm_per_fb, f"{ratio:.2f}"]
+                bsm_per_fb, f"{100.0 * dst_ratio:.2f}"]
 
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_point, points))
-    else:
-        rows = [run_point(p) for p in points]
+    # one point at a time, so wall_ms is not measured under BLAS contention
+    rows = [run_point(p) for p in points]
 
     header = ["schema_version", "dimension", "value", "total_macs", "wall_ms",
               "kl_score", "max_row_deviation", "bsm_per_feature_block",
@@ -262,13 +242,6 @@ def cmd_ablate(args) -> int:
     _write_csv(args.out, header, rows)
     print(f"wrote {len(rows)} ablation rows to {args.out}")
     return 0
-
-
-def _dst_ratio(grid_shape, stride) -> float:
-    t, h, w = grid_shape
-    s_t, s_h, s_w = stride
-    n_dst = (t // s_t) * (h // s_h) * (w // s_w)
-    return n_dst / (t * h * w)
 
 
 def cmd_klcheck(args) -> int:

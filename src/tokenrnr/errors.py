@@ -4,6 +4,8 @@ The CLI maps these to exit codes: ConfigError -> 2, InvariantError -> 3.
 The field checks below turn a config value of the wrong type into a
 ConfigError instead of a TypeError or ValueError from deep inside a run.
 """
+import math
+import numbers
 
 
 class ConfigError(ValueError):
@@ -35,3 +37,11 @@ def config_int_triple(name: str, value) -> tuple[int, int, int]:
     if len(items) != 3 or min(items) < 1:
         raise ConfigError(f"{name} must be three positive ints, got {value!r}")
     return items
+
+
+def config_real(name: str, value) -> float:
+    """`value` as a float, or a ConfigError naming the field if it is not a
+    finite real number (a string, None, nan and inf are all rejected)."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)

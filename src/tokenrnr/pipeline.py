@@ -1,4 +1,11 @@
-"""Synthetic multi-block transformer denoising pipeline over 3D token grids.
+"""The two RnR attention operators and the synthetic multi-block denoising
+pipeline over 3D token grids that runs them.
+
+`attn_sym_rnr` reduces the shared input before projection, so one plan
+governs Q, K and V, and restores after attention. `attn_asym_rnr` reduces Q
+and K/V by separate plans after projection and rotary, and restores Q only.
+With no plan either one is plain attention. Every pipeline block runs one of
+them.
 
 The model is deliberately untrained: projection weights are drawn once from
 the seed, each block adds its attention output to a residual stream, and each
@@ -7,9 +14,10 @@ enough structure to exercise scheduling, caching, and reduction across blocks
 and timesteps with fully deterministic, checksummable outputs.
 
 Multiply-adds are instrumented where the work happens (projection, attention,
-matching call sites) and independently predicted from the cost model over the
-recorded rates; the two totals must agree exactly and a run fails its report
-invariant otherwise.
+matching call sites). After the loop the cost model, applied to each block's
+record (m_q, m_kv and the recomputed matchings), predicts them independently;
+the two breakdowns must agree exactly and a run fails its report invariant
+otherwise.
 """
 from __future__ import annotations
 
@@ -22,11 +30,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import flops
-from .core import (Matrix, TokenGrid, checksum_matrix, rope3d_tables,
-                   apply_rope_tables)
+from .core import (Matrix, TokenGrid, apply_rope_tables, checksum_matrix,
+                   rope3d_tables, spawn_rngs)
 from .errors import ConfigError, InvariantError, config_int, config_int_triple
 from .matching import DEFAULT_METRIC, partition_3d, pairwise_best_match
-from .rnr import REDUCE_OPS, attn_plain, build_plan, reduce_tokens, restore_tokens
+from .rnr import (REDUCE_OPS, ReductionPlan, attn_plain, build_plan,
+                  reduce_tokens, restore_tokens)
 from .schedule import (MatchingCache, PROFILE_FEATURES, ScheduleConfig,
                        SimilarityProfile, cached_match, lookup_rate,
                        record_profile)
@@ -212,16 +221,71 @@ def row_norm_percentiles(mat: Matrix) -> dict:
     return {"p5": float(p5), "p50": float(p50), "p95": float(p95), "p99": float(p99)}
 
 
-def _head_attention(q, k, v, num_heads, scale, counter):
-    if num_heads == 1:
-        return attn_plain(q, k, v, scale=scale, counter=counter)
-    d_h = q.shape[1] // num_heads
-    outs = [attn_plain(q[:, i * d_h:(i + 1) * d_h],
-                       k[:, i * d_h:(i + 1) * d_h],
-                       v[:, i * d_h:(i + 1) * d_h],
-                       scale=scale, counter=counter)
-            for i in range(num_heads)]
-    return np.concatenate(outs, axis=1)
+# The RnR operators live here, not in rnr, and call attn_plain, reduce_tokens,
+# restore_tokens and apply_rope_tables through this module's namespace: the
+# benchmark's tracer patches those boundaries here and fails a traced pass
+# whose workload does not enter them.
+
+def _project(h: Matrix, weights, counter: flops.CostBreakdown | None):
+    """Q, K and V of the rows of h under the (w_q, w_k, w_v) weights."""
+    if counter is not None:
+        d = h.shape[1]
+        counter.add(flops.CostBreakdown(projections=3 * h.shape[0] * d * d))
+    w_q, w_k, w_v = weights
+    return h @ w_q, h @ w_k, h @ w_v
+
+
+def _rotate(x: Matrix, rope_tables, rows=slice(None)) -> Matrix:
+    """Rotary embedding of x, whose rows sit at the given original positions."""
+    if rope_tables is None:
+        return x
+    cos, sin = rope_tables
+    return apply_rope_tables(x, cos[rows], sin[rows])
+
+
+def attn_sym_rnr(h: Matrix, weights, plan: ReductionPlan | None,
+                 op: str = "discard", scale: bool = True,
+                 rope_tables: tuple[np.ndarray, np.ndarray] | None = None,
+                 num_heads: int = 1,
+                 counter: flops.CostBreakdown | None = None) -> Matrix:
+    """Symmetric variant: reduce the shared input, project, attend, restore.
+
+    Q, K, V are projected from the already-shortened sequence with the
+    (w_q, w_k, w_v) weights, so one plan governs all three. When rotary
+    tables are given, the kept rows are rotated by their original positions'
+    angles. A None plan reduces nothing.
+    """
+    rows = slice(None)
+    if plan is not None:
+        h = reduce_tokens(h, plan, op)
+        rows = plan.kept
+    q, k, v = _project(h, weights, counter)
+    q = _rotate(q, rope_tables, rows)
+    k = _rotate(k, rope_tables, rows)
+    out = attn_plain(q, k, v, scale=scale, num_heads=num_heads, counter=counter)
+    return out if plan is None else restore_tokens(out, plan)
+
+
+def attn_asym_rnr(q: Matrix, k: Matrix, v: Matrix, plan_q: ReductionPlan | None,
+                  plan_kv: ReductionPlan | None, op: str = "discard",
+                  scale: bool = True, num_heads: int = 1,
+                  counter: flops.CostBreakdown | None = None) -> Matrix:
+    """Asymmetric variant: reduce Q and K/V independently, restore Q only.
+
+    K and V share plan_kv (their rows correspond one-to-one); the output is
+    re-expanded along the query axis alone, since key/value information is
+    already folded into the attention mix. A None plan reduces nothing on
+    its side.
+    """
+    if k.shape[0] != v.shape[0]:
+        raise ValueError(f"K and V row counts differ: {k.shape[0]} vs {v.shape[0]}")
+    if plan_q is not None:
+        q = reduce_tokens(q, plan_q, op)
+    if plan_kv is not None:
+        k = reduce_tokens(k, plan_kv, op)
+        v = reduce_tokens(v, plan_kv, op)
+    out = attn_plain(q, k, v, scale=scale, num_heads=num_heads, counter=counter)
+    return out if plan_q is None else restore_tokens(out, plan_q)
 
 
 def _matching_macs_for(part, d, metric) -> int:
@@ -254,12 +318,14 @@ def run_pipeline(cfg: PipelineConfig,
     if cfg.rope:
         if cfg.feature_dim % 2 != 0 or cfg.feature_dim < 6:
             raise ConfigError("rotary embedding needs an even feature_dim >= 6")
-    if scheduled and cfg.rnr_mode == "sym" and "V" in schedule.rules:
+    sym = scheduled and cfg.rnr_mode == "sym"
+    if sym and "V" in schedule.rules:
         warnings.warn("symmetric mode reduces the shared input; the V entry "
                       "is ignored (the Q entry drives the reduction)")
-    if cfg.profiling and scheduled and cfg.rnr_mode == "sym":
-        raise ConfigError("profiling needs the full feature set; run it with "
-                          "reduction off or in asymmetric mode")
+    for flag in ("profiling", "collect_norms"):
+        if sym and getattr(cfg, flag):
+            raise ConfigError(f"{flag} needs the full feature set; run it with "
+                              "reduction off or in asymmetric mode")
     if (scheduled and cfg.redraw_partition_each_step
             and schedule.cache_step > 1):
         raise ConfigError("cached match results index a fixed partition; "
@@ -276,14 +342,14 @@ def run_pipeline(cfg: PipelineConfig,
                 f"profile lattice ({profile.num_timesteps} steps x "
                 f"{profile.num_blocks} blocks) does not match the run "
                 f"({cfg.num_timesteps} x {cfg.num_blocks})")
-        needed = {"H"} if cfg.rnr_mode == "sym" else set(schedule.rules)
+        needed = {"H"} if sym else set(schedule.rules)
         missing = needed - set(profile.features)
         if missing:
             raise ConfigError(f"profile lacks features {sorted(missing)}")
 
     n = cfg.n_tokens
     d = cfg.feature_dim
-    rng_init, rng_weights, rng_parts, rng_dup, rng_match = _streams(cfg.seed)
+    rng_init, rng_weights, rng_parts, rng_dup, rng_match = spawn_rngs(cfg.seed, 5)
 
     grid = TokenGrid.random(cfg.grid_shape, d, rng_init)
     if cfg.duplicate_fraction > 0.0:
@@ -304,10 +370,18 @@ def run_pipeline(cfg: PipelineConfig,
 
     cache = MatchingCache(cache_step=schedule.cache_step if schedule else 1)
     measured = flops.CostBreakdown()
-    predicted = flops.CostBreakdown()
     records: list[BlockRecord] = []
     norm_records: list[dict] = []
     profile_entries: list[tuple] = []
+    part = None
+
+    # reads the current block's `part` and `recomputed` at call time
+    def match_cached(feature, toks, t, b):
+        match, fresh = cached_match(cache, feature, b, t, toks, part, metric, rng_match)
+        if fresh:
+            recomputed.append(feature)
+            measured.add(flops.CostBreakdown(matching=_matching_macs_for(part, d, metric)))
+        return match
 
     loop_start = time.perf_counter()
     for t in range(cfg.num_timesteps):
@@ -315,107 +389,56 @@ def run_pipeline(cfg: PipelineConfig,
         for b in range(cfg.num_blocks):
             t0 = time.perf_counter()
             macs_before = measured.total
-            part = None
             if need_parts:
                 part = (partition_3d(cfg.grid_shape, stride, rng_parts)
                         if cfg.redraw_partition_each_step else parts[b])
-
-            w_q, w_k, w_v = weights[b]
             rates: dict = {}
             recomputed: list[str] = []
-            m_q = m_kv = n
 
-            if cfg.rnr_mode == "sym" and scheduled:
+            if sym:
                 rate = lookup_rate(schedule, profile, "Q", t, b) \
                     if "Q" in schedule.rules else 0.0
                 rates["H"] = rate
-                match, fresh = cached_match(cache, "H", b, t, y, part, metric, rng_match)
-                if fresh:
-                    recomputed.append("H")
-                    cost = _matching_macs_for(part, d, metric)
-                    measured.add(flops.CostBreakdown(matching=cost))
-                    predicted.add(flops.CostBreakdown(matching=cost))
+                match = match_cached("H", y, t, b)
                 plan = build_plan(match, part, rate) if rate > 0.0 else None
                 m_q = m_kv = plan.m if plan else n
-                if plan is not None:
-                    h_red = reduce_tokens(y, plan, cfg.reduce_op)
-                else:
-                    h_red = y
-                measured.add(flops.CostBreakdown(projections=3 * m_q * d * d))
-                q = h_red @ w_q
-                k = h_red @ w_k
-                v = h_red @ w_v
-                if rope_tabs is not None:
-                    cos, sin = rope_tabs
-                    sel = plan.kept if plan is not None else slice(None)
-                    q = apply_rope_tables(q, cos[sel], sin[sel])
-                    k = apply_rope_tables(k, cos[sel], sin[sel])
-                out = _head_attention(q, k, v, cfg.num_heads, cfg.attn_scale, measured)
-                if plan is not None:
-                    out = restore_tokens(out, plan)
-                predicted.add(flops.cost_sym(n, d, m_q, cfg.num_heads))
+                out = attn_sym_rnr(y, weights[b], plan, cfg.reduce_op, cfg.attn_scale,
+                                   rope_tabs, cfg.num_heads, measured)
             else:
-                measured.add(flops.CostBreakdown(projections=3 * n * d * d))
-                q = y @ w_q
-                k = y @ w_k
-                v = y @ w_v
-                q_pre, k_pre = q, k
-                if rope_tabs is not None:
-                    cos, sin = rope_tabs
-                    q = apply_rope_tables(q, cos, sin)
-                    k = apply_rope_tables(k, cos, sin)
+                q, k, v = _project(y, weights[b], measured)
+                match_q, match_k = q, k   # Q and K as matched: unrotated ...
+                q, k = _rotate(q, rope_tabs), _rotate(k, rope_tabs)
+                if not cfg.match_pre_rope:
+                    match_q, match_k = q, k   # ... unless matching follows rotary
 
                 if cfg.profiling:
-                    for feature, toks in (("H", y),
-                                          ("Q", q_pre if cfg.match_pre_rope else q),
-                                          ("K", k_pre if cfg.match_pre_rope else k),
+                    for feature, toks in (("H", y), ("Q", match_q), ("K", match_k),
                                           ("V", v)):
                         match = pairwise_best_match(toks, part, metric, rng_match)
-                        cost = _matching_macs_for(part, d, metric)
-                        measured.add(flops.CostBreakdown(matching=cost))
-                        predicted.add(flops.CostBreakdown(matching=cost))
-                        mean, p10, p90 = _profile_stats(match)
-                        profile_entries.append((feature, t, b, mean, p10, p90))
+                        measured.add(flops.CostBreakdown(
+                            matching=_matching_macs_for(part, d, metric)))
+                        profile_entries.append((feature, t, b, *_profile_stats(match)))
 
                 if cfg.collect_norms:
                     for feature, mat in (("H", y), ("V", v)):
                         norm_records.append({"feature": feature, "t": t, "b": b,
                                              **row_norm_percentiles(mat)})
 
-                plan_q = plan_kv = None
-                if cfg.rnr_mode == "asym" and scheduled:
-                    for feature in ("Q", "V"):
-                        if feature not in schedule.rules:
-                            continue
+                plans = {"Q": None, "V": None}
+                if scheduled:
+                    for feature in [f for f in plans if f in schedule.rules]:
                         rate = lookup_rate(schedule, profile, feature, t, b)
                         rates[feature] = rate
-                        toks = v if feature == "V" else \
-                            (q_pre if cfg.match_pre_rope else q)
-                        match, fresh = cached_match(cache, feature, b, t, toks,
-                                                    part, metric, rng_match)
-                        if fresh:
-                            recomputed.append(feature)
-                            cost = _matching_macs_for(part, d, metric)
-                            measured.add(flops.CostBreakdown(matching=cost))
-                            predicted.add(flops.CostBreakdown(matching=cost))
+                        match = match_cached(feature, v if feature == "V" else match_q, t, b)
                         if rate > 0.0:
-                            plan = build_plan(match, part, rate)
-                            if feature == "Q":
-                                plan_q = plan
-                            else:
-                                plan_kv = plan
+                            plans[feature] = build_plan(match, part, rate)
+                # the unrotated Q and K must not outlive matching (peak memory)
+                del match_q, match_k
+                plan_q, plan_kv = plans["Q"], plans["V"]
                 m_q = plan_q.m if plan_q else n
                 m_kv = plan_kv.m if plan_kv else n
-                if plan_q is not None:
-                    q = reduce_tokens(q, plan_q, cfg.reduce_op)
-                if plan_kv is not None:
-                    k = reduce_tokens(k, plan_kv, cfg.reduce_op)
-                    v = reduce_tokens(v, plan_kv, cfg.reduce_op)
-                out = _head_attention(q, k, v, cfg.num_heads, cfg.attn_scale, measured)
-                if plan_q is not None:
-                    out = restore_tokens(out, plan_q)
-                predicted.add(flops.cost_asym(n, d, m_q, m_kv, False,
-                                              0.0, cfg.num_heads))
+                out = attn_asym_rnr(q, k, v, plan_q, plan_kv, cfg.reduce_op,
+                                    cfg.attn_scale, cfg.num_heads, measured)
 
             if out.shape[0] != n:
                 raise InvariantError(
@@ -430,7 +453,16 @@ def run_pipeline(cfg: PipelineConfig,
             raise InvariantError(f"non-finite state after step {t}")
     total_wall = time.perf_counter() - loop_start
 
-    if measured.total != predicted.total or measured.as_dict() != predicted.as_dict():
+    # every partition of one grid and stride has the same n_src and n_dst
+    per_match = _matching_macs_for(part, d, metric) if part is not None else 0
+    profiled = len(PROFILE_FEATURES) if cfg.profiling else 0
+    predicted = flops.CostBreakdown()
+    for rec in records:
+        predicted.add(flops.cost_sym(n, d, rec.m_q, cfg.num_heads) if sym else
+                      flops.cost_asym(n, d, rec.m_q, rec.m_kv, False, 0.0, cfg.num_heads))
+        predicted.add(flops.CostBreakdown(
+            matching=per_match * (len(rec.recomputed) + profiled)))
+    if measured.as_dict() != predicted.as_dict():
         raise InvariantError(
             f"instrumented MACs {measured.as_dict()} diverge from the cost-model "
             f"prediction {predicted.as_dict()}")
@@ -447,7 +479,3 @@ def run_pipeline(cfg: PipelineConfig,
                      total_wall_s=total_wall, profile=run_profile,
                      norm_records=norm_records, final_tokens=x)
 
-
-def _streams(seed: int):
-    root = np.random.SeedSequence(seed)
-    return [np.random.Generator(np.random.PCG64(child)) for child in root.spawn(5)]

@@ -1,4 +1,4 @@
-"""Reduction and restoration operators plus the three attention variants.
+"""Reduction plans, reduce/restore, and the multi-head attention core.
 
 A ReductionPlan discards the most redundant source tokens (per a MatchResult)
 and remembers each discarded token's kept representative. Attention runs on
@@ -6,8 +6,10 @@ the shortened sequences; restoration re-expands to the original length by
 replicating representative rows, which keeps the layer drop-in compatible
 with fixed-length pipelines.
 
-All attention variants share one chunked softmax-attention core, so the
-zero-rate configurations are bitwise identical to plain attention.
+The two RnR operators built from these pieces (`attn_sym_rnr`,
+`attn_asym_rnr`) live in `pipeline`, which runs them for every block. Both
+end in `attn_plain`, so with no plan they are bitwise identical to plain
+attention.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Matrix, apply_rope_tables, row_softmax, row_sums
+from .core import Matrix, row_softmax, row_sums
 from .flops import SOFTMAX_COST_PER_ENTRY, CostBreakdown
 from .matching import MatchResult, Partition
 
@@ -130,15 +132,18 @@ def restore_tokens(reduced_out: Matrix, plan: ReductionPlan) -> Matrix:
     return reduced_out[row_source]
 
 
+
+
 def attn_plain(q: Matrix, k: Matrix, v: Matrix, scale: bool = True,
-               counter: CostBreakdown | None = None) -> Matrix:
-    """softmax(Q K^T * s) V with s = 1/sqrt(d) when scaling is on.
+               num_heads: int = 1, counter: CostBreakdown | None = None) -> Matrix:
+    """Multi-head softmax(Q_h K_h^T * s) V_h with s = 1/sqrt(d_head) when
+    scaling is on; head h owns the h-th equal column block of Q, K and V.
 
     Computed in row chunks so the full score matrix is never materialized;
     chunk size is a function of the shapes alone, keeping runs reproducible.
-    Every chunk reuses one score buffer, the softmax numerators are formed in
-    place on it, and the rows are normalized after the product with V, on
-    m_q x d_v entries instead of m_q x m_kv.
+    Every chunk of every head reuses one score buffer, the softmax numerators
+    are formed in place on it, and the rows are normalized after the product
+    with V, on m_q x d_v entries instead of m_q x m_kv.
     """
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
         raise ValueError("attention expects 2-D Q, K, V")
@@ -146,80 +151,30 @@ def attn_plain(q: Matrix, k: Matrix, v: Matrix, scale: bool = True,
         raise ValueError(f"Q and K widths differ: {q.shape[1]} vs {k.shape[1]}")
     if k.shape[0] != v.shape[0]:
         raise ValueError(f"K and V row counts differ: {k.shape[0]} vs {v.shape[0]}")
+    if num_heads < 1 or q.shape[1] % num_heads or v.shape[1] % num_heads:
+        raise ValueError(f"widths {q.shape[1]} and {v.shape[1]} do not split "
+                         f"into {num_heads} heads")
     m_q, d = q.shape
-    m_kv = k.shape[0]
+    m_kv, d_v = v.shape
     if counter is not None:
         counter.add(CostBreakdown(qk_matmul=m_q * m_kv * d,
-                                  av_matmul=m_q * m_kv * v.shape[1],
-                                  softmax=SOFTMAX_COST_PER_ENTRY * m_q * m_kv))
-    if scale:
-        q = q * (1.0 / math.sqrt(d))
+                                  av_matmul=m_q * m_kv * d_v,
+                                  softmax=SOFTMAX_COST_PER_ENTRY * m_q * m_kv * num_heads))
+    d_h, dv_h = d // num_heads, d_v // num_heads
     chunk = max(1, min(m_q, _ATTN_CHUNK_ELEMS // max(1, m_kv)))
     scores = np.empty((chunk, m_kv), dtype=np.result_type(q, k))
-    out = np.empty((m_q, v.shape[1]), dtype=np.result_type(q, k, v))
-    kt = k.T
-    for i in range(0, m_q, chunk):
-        s = scores[:min(chunk, m_q - i)]
-        o = out[i:i + chunk]
-        np.matmul(q[i:i + chunk], kt, out=s)
-        np.matmul(row_softmax(s, out=s, normalize=False), v, out=o)
-        o /= row_sums(s)[:, None]
+    out = np.empty((m_q, d_v), dtype=np.result_type(q, k, v))
+    for h in range(num_heads):
+        q_h = q[:, h * d_h:(h + 1) * d_h]
+        if scale:
+            q_h = q_h * (1.0 / math.sqrt(d_h))
+        kt = k[:, h * d_h:(h + 1) * d_h].T
+        v_h = v[:, h * dv_h:(h + 1) * dv_h]
+        out_h = out[:, h * dv_h:(h + 1) * dv_h]
+        for i in range(0, m_q, chunk):
+            s = scores[:min(chunk, m_q - i)]
+            o = out_h[i:i + chunk]
+            np.matmul(q_h[i:i + chunk], kt, out=s)
+            np.matmul(row_softmax(s, out=s, normalize=False), v_h, out=o)
+            o /= row_sums(s)[:, None]
     return out
-
-
-@dataclass(frozen=True)
-class AttentionWeights:
-    """Projection matrices applied to the shared input before attention."""
-
-    w_q: Matrix
-    w_k: Matrix
-    w_v: Matrix
-
-
-def attn_sym_rnr(h: Matrix, weights: AttentionWeights, plan: ReductionPlan,
-                 op: str = "discard", scale: bool = True,
-                 rope_tables: tuple[np.ndarray, np.ndarray] | None = None,
-                 counter: CostBreakdown | None = None) -> Matrix:
-    """Symmetric variant: reduce the shared input, attend, restore.
-
-    Q, K, V are projected from the already-shortened sequence, so one plan
-    governs all three. When rotary tables are given, the kept rows are rotated
-    by their original positions' angles.
-    """
-    if h.shape[0] != plan.original_len:
-        raise ValueError(f"input has {h.shape[0]} rows, plan expects {plan.original_len}")
-    reduced = reduce_tokens(h, plan, op)
-    d = h.shape[1]
-    if counter is not None:
-        counter.add(CostBreakdown(projections=3 * plan.m * d * d))
-    q = reduced @ weights.w_q
-    k = reduced @ weights.w_k
-    v = reduced @ weights.w_v
-    if rope_tables is not None:
-        cos, sin = rope_tables
-        q = apply_rope_tables(q, cos[plan.kept], sin[plan.kept])
-        k = apply_rope_tables(k, cos[plan.kept], sin[plan.kept])
-    out = attn_plain(q, k, v, scale=scale, counter=counter)
-    return restore_tokens(out, plan)
-
-
-def attn_asym_rnr(q: Matrix, k: Matrix, v: Matrix, plan_q: ReductionPlan,
-                  plan_kv: ReductionPlan, op: str = "discard", scale: bool = True,
-                  counter: CostBreakdown | None = None) -> Matrix:
-    """Asymmetric variant: reduce Q and K/V independently, restore Q only.
-
-    K and V share plan_kv (their rows correspond one-to-one); the output is
-    re-expanded along the query axis alone, since key/value information is
-    already folded into the attention mix.
-    """
-    if q.shape[0] != plan_q.original_len:
-        raise ValueError(f"Q has {q.shape[0]} rows, plan_q expects {plan_q.original_len}")
-    if k.shape[0] != v.shape[0]:
-        raise ValueError(f"K and V row counts differ: {k.shape[0]} vs {v.shape[0]}")
-    if k.shape[0] != plan_kv.original_len:
-        raise ValueError(f"K/V have {k.shape[0]} rows, plan_kv expects {plan_kv.original_len}")
-    q_red = reduce_tokens(q, plan_q, op)
-    k_red = reduce_tokens(k, plan_kv, op)
-    v_red = reduce_tokens(v, plan_kv, op)
-    out = attn_plain(q_red, k_red, v_red, scale=scale, counter=counter)
-    return restore_tokens(out, plan_q)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, config_int, config_int_triple
+from .errors import ConfigError, config_int, config_int_triple, config_real
 from .matching import DEFAULT_METRIC, METRICS, MatchResult, Partition, \
     pairwise_best_match, standardize_profile
 
@@ -193,16 +193,19 @@ class SimilarityProfile:
             raise ConfigError(f"profile is not valid JSON: {exc}") from exc
         try:
             meta = payload["metadata"]
-            records = [ProfileRecord(feature=r["feature"], t=int(r["t"]), b=int(r["b"]),
-                                     sim_raw=float(r["sim_raw"]), sim_std=float(r["sim_std"]),
-                                     sim_p10=float(r["sim_p10"]), sim_p90=float(r["sim_p90"]))
-                       for r in payload["records"]]
+            records = [ProfileRecord(
+                feature=r["feature"], t=config_int("t", r["t"]), b=config_int("b", r["b"]),
+                **{key: config_real(key, r[key])
+                   for key in ("sim_raw", "sim_std", "sim_p10", "sim_p90")})
+                for r in payload["records"]]
+            if meta["metric"] not in METRICS:
+                raise ConfigError(f"unknown metric {meta['metric']!r}")
             return SimilarityProfile(
-                num_timesteps=int(meta["num_timesteps"]),
-                num_blocks=int(meta["num_blocks"]),
+                num_timesteps=config_int("num_timesteps", meta["num_timesteps"]),
+                num_blocks=config_int("num_blocks", meta["num_blocks"]),
                 features=tuple(meta["features"]),
-                grid_shape=tuple(meta["grid_shape"]),
-                stride=tuple(meta["stride"]),
+                grid_shape=config_int_triple("grid_shape", meta["grid_shape"]),
+                stride=config_int_triple("stride", meta["stride"]),
                 metric=meta["metric"],
                 records=records,
             )

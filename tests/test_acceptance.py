@@ -12,9 +12,9 @@ import numpy as np
 from tokenrnr.core import make_rng
 from tokenrnr.klnn import kl_estimate, score_reduction
 from tokenrnr.matching import partition_3d, pairwise_best_match, similarity_matrix
-from tokenrnr.pipeline import PipelineConfig, run_pipeline
-from tokenrnr.rnr import (AttentionWeights, ReductionPlan, attn_asym_rnr,
-                          attn_plain, attn_sym_rnr, build_plan)
+from tokenrnr.pipeline import (PipelineConfig, attn_asym_rnr, attn_sym_rnr,
+                               run_pipeline)
+from tokenrnr.rnr import ReductionPlan, attn_plain, build_plan
 from tokenrnr.schedule import (MatchingCache, ScheduleConfig, TuneStep,
                                cached_match, lookup_rate, tune_schedule)
 
@@ -111,10 +111,9 @@ def test_criterion_03_zero_rate_equivalence():
             asym = attn_asym_rnr(q, k, v, ident, ident)
             worst = max(worst, float(np.abs(asym - plain).max()))
             h = rng.standard_normal((n, d))
-            weights = AttentionWeights(
-                *(rng.standard_normal((d, d)) / np.sqrt(d) for _ in range(3)))
-            sym = attn_sym_rnr(h, weights, ident)
-            plain_h = attn_plain(h @ weights.w_q, h @ weights.w_k, h @ weights.w_v)
+            w_q, w_k, w_v = (rng.standard_normal((d, d)) / np.sqrt(d) for _ in range(3))
+            sym = attn_sym_rnr(h, (w_q, w_k, w_v), ident)
+            plain_h = attn_plain(h @ w_q, h @ w_k, h @ w_v)
             worst = max(worst, float(np.abs(sym - plain_h).max()))
             assert worst <= 1e-12
     report(3, "zero-rate sym/asym attention equals plain attention",

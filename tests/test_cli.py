@@ -143,6 +143,28 @@ class TestBenchCommand:
                    "--repeat", "1", "--warmup", "0"])
         assert rc == 2
 
+    @pytest.mark.parametrize("section, key, raw", [
+        ("metadata", "num_timesteps", "1e999"),
+        ("record", "t", "0.7"),
+        ("metadata", "metric", '"bogus"'),
+        ("metadata", "stride", '"ab"'),
+        ("record", "sim_std", '"nan"'),
+        ("record", "sim_std", "NaN"),
+    ])
+    def test_bad_profile_value_exits_2(self, cfg_path, schedule_path, tmp_path,
+                                       section, key, raw, capsys):
+        prof_path = tmp_path / "prof.json"
+        main(["profile", "--config", cfg_path, "--out", str(prof_path)])
+        payload = json.loads(prof_path.read_text())
+        target = payload["metadata"] if section == "metadata" else payload["records"][0]
+        target[key] = "RAW"
+        prof_path.write_text(json.dumps(payload).replace('"RAW"', raw))
+        rc = main(["bench", "--config", cfg_path, "--schedule", schedule_path,
+                   "--profile", str(prof_path), "--out", str(tmp_path / "b.csv"),
+                   "--repeat", "1", "--warmup", "0"])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+
 
 class TestAblateCommand:
     def test_metric_sweep_mechanics(self, tmp_path):
@@ -208,23 +230,6 @@ class TestAblateCommand:
             main(["ablate", "--dimension", "learning_rate", "--config", cfg_path,
                   "--out", str(tmp_path / "x.csv")])
         assert err.value.code == 2
-
-    def test_threaded_sweep_matches_sequential(self, tmp_path, monkeypatch):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "grid_shape": [2, 4, 4], "feature_dim": 8, "num_blocks": 1,
-            "num_heads": 1, "num_timesteps": 2, "seed": 2}))
-        monkeypatch.setenv("RNR_THREADS", "1")
-        seq = tmp_path / "seq.csv"
-        main(["ablate", "--dimension", "cache_step", "--config", str(cfg),
-              "--out", str(seq)])
-        monkeypatch.setenv("RNR_THREADS", "3")
-        par = tmp_path / "par.csv"
-        main(["ablate", "--dimension", "cache_step", "--config", str(cfg),
-              "--out", str(par)])
-        strip_wall = lambda rows: [{k: v for k, v in r.items() if k != "wall_ms"}
-                                   for r in rows]
-        assert strip_wall(read_csv(seq)) == strip_wall(read_csv(par))
 
 
 class TestKlcheckCommand:

@@ -109,6 +109,13 @@ class TestScheduledRuns:
         with pytest.warns(UserWarning, match="V entry"):
             run_pipeline(small_cfg(rnr_mode="sym", schedule=sched))
 
+    @pytest.mark.parametrize("flag", ["profiling", "collect_norms"])
+    def test_sym_run_rejects_full_feature_flags(self, flag):
+        # a scheduled symmetric run never projects the full-length input
+        sched = ScheduleConfig(rules={"Q": [(0.0, 0.5)]})
+        with pytest.raises(ConfigError, match=f"{flag} needs the full feature set"):
+            run_pipeline(small_cfg(rnr_mode="sym", schedule=sched, **{flag: True}))
+
     def test_profile_lattice_mismatch_rejected(self):
         profiled = run_pipeline(small_cfg(profiling=True, num_timesteps=3))
         with pytest.raises(ConfigError, match="lattice"):

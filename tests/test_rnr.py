@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokenrnr import rnr
-from tokenrnr.core import make_rng
-from tokenrnr.flops import CostBreakdown
+from tokenrnr.core import apply_rope_tables, make_rng, rope3d_tables
+from tokenrnr.flops import CostBreakdown, cost_plain
 from tokenrnr.matching import partition_3d, pairwise_best_match
-from tokenrnr.rnr import (AttentionWeights, ReductionPlan, attn_asym_rnr,
-                          attn_plain, attn_sym_rnr, build_plan, reduce_tokens,
+from tokenrnr.pipeline import attn_asym_rnr, attn_sym_rnr
+from tokenrnr.rnr import (ReductionPlan, attn_plain, build_plan, reduce_tokens,
                           restore_tokens)
 
 from oracles import gather_rows, mean_merge_rows, naive_attention
@@ -190,19 +190,61 @@ class TestAttnPlain:
             attn_plain(np.ones((2, 3)), np.ones((2, 4)), np.ones((2, 4)))
         with pytest.raises(ValueError):
             attn_plain(np.ones((2, 3)), np.ones((4, 3)), np.ones((2, 3)))
+        with pytest.raises(ValueError, match="heads"):
+            attn_plain(np.ones((2, 8)), np.ones((2, 8)), np.ones((2, 8)), num_heads=3)
+
+
+class TestMultiHead:
+    @pytest.mark.parametrize("num_heads", [1, 2, 4])
+    def test_against_per_head_oracle(self, num_heads):
+        rng = make_rng(15)
+        q = rng.standard_normal((9, 8))
+        k = rng.standard_normal((13, 8))
+        v = rng.standard_normal((13, 12))
+        d_h, dv_h = 8 // num_heads, 12 // num_heads
+        for scale in (True, False):
+            want = np.concatenate(
+                [naive_attention(q[:, h * d_h:(h + 1) * d_h], k[:, h * d_h:(h + 1) * d_h],
+                                 v[:, h * dv_h:(h + 1) * dv_h], scale=scale)
+                 for h in range(num_heads)], axis=1)
+            got = attn_plain(q, k, v, scale=scale, num_heads=num_heads)
+            assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("num_heads", [1, 2, 4])
+    def test_counter_matches_cost_model(self, num_heads):
+        rng = make_rng(16)
+        q, k, v = (rng.standard_normal((10, 8)) for _ in range(3))
+        counter = CostBreakdown()
+        attn_plain(q, k, v, num_heads=num_heads, counter=counter)
+        model = cost_plain(10, 8, num_heads)
+        assert (counter.qk_matmul, counter.av_matmul, counter.softmax) == \
+            (model.qk_matmul, model.av_matmul, model.softmax)
+        assert counter.projections == counter.matching == 0
+
+    def test_operators_without_plans_are_plain_attention(self):
+        rng = make_rng(17)
+        grid, n, d = (2, 2, 3), 12, 8
+        q, k, v, h = (rng.standard_normal((n, d)) for _ in range(4))
+        w_q, w_k, w_v = (rng.standard_normal((d, d)) for _ in range(3))
+        assert np.array_equal(attn_asym_rnr(q, k, v, None, None, num_heads=2),
+                              attn_plain(q, k, v, num_heads=2))
+        cos, sin = rope3d_tables(grid, d)
+        plain = attn_plain(apply_rope_tables(h @ w_q, cos, sin),
+                           apply_rope_tables(h @ w_k, cos, sin), h @ w_v, num_heads=2)
+        assert np.array_equal(attn_sym_rnr(h, (w_q, w_k, w_v), None,
+                                           rope_tables=(cos, sin), num_heads=2), plain)
 
 
 class TestSymRnr:
     def setup_method(self):
         rng = make_rng(20)
         self.d = 6
-        self.weights = AttentionWeights(
-            *(rng.standard_normal((self.d, self.d)) / np.sqrt(self.d)
-              for _ in range(3)))
+        self.weights = tuple(rng.standard_normal((self.d, self.d)) / np.sqrt(self.d)
+                             for _ in range(3))
 
     def plain_reference(self, h, scale=True):
-        return attn_plain(h @ self.weights.w_q, h @ self.weights.w_k,
-                          h @ self.weights.w_v, scale=scale)
+        w_q, w_k, w_v = self.weights
+        return attn_plain(h @ w_q, h @ w_k, h @ w_v, scale=scale)
 
     def test_zero_rate_equals_plain(self):
         rng = make_rng(21)

@@ -12,12 +12,11 @@ Library layout:
 - flops: analytical multiply-add cost model
 - cli: profiling / benchmarking / ablation command line
 """
-from .core import (Matrix, TokenGrid, apply_rope3d, as_matrix, checksum_matrix,
-                   make_rng, matmul, pairwise_sq_dists, row_softmax, spawn_rngs)
+from .core import (Matrix, TokenGrid, checksum_matrix, make_rng,
+                   pairwise_sq_dists, row_softmax, spawn_rngs)
 from .errors import ConfigError, InvariantError
 from .flops import CostBreakdown, cost_asym, cost_plain, cost_sym, macs_to_flops
-from .klnn import KlEstimate, kl_estimate, knn_distance, knn_distances, \
-    score_reduction, unit_ball_volume
+from .klnn import KlEstimate, kl_estimate, knn_distances, score_reduction
 from .matching import MatchResult, Partition, partition_3d, pairwise_best_match, \
     similarity_matrix, standardize_profile
 from .pipeline import (PipelineConfig, RunReport, attn_asym_rnr, attn_sym_rnr,
@@ -35,12 +34,11 @@ __all__ = [
     "KlEstimate", "MatchResult", "MatchingCache", "Matrix", "Partition",
     "PipelineConfig", "ReductionPlan", "RunReport", "ScheduleConfig",
     "SimilarityProfile", "TokenGrid", "TuneResult", "TuneStep",
-    "apply_rope3d", "as_matrix", "attn_asym_rnr", "attn_plain", "attn_sym_rnr",
-    "build_plan", "cached_match", "checksum_matrix", "cost_asym", "cost_plain",
-    "cost_sym", "inject_duplicates", "kl_estimate", "knn_distance",
-    "knn_distances", "lookup_rate", "macs_to_flops", "make_rng", "matmul",
-    "pairwise_best_match", "pairwise_sq_dists", "partition_3d", "record_profile",
-    "reduce_tokens", "restore_tokens", "row_softmax", "run_pipeline",
-    "score_reduction", "similarity_matrix", "spawn_rngs", "standardize_profile",
-    "tune_schedule", "unit_ball_volume",
+    "attn_asym_rnr", "attn_plain", "attn_sym_rnr", "build_plan",
+    "cached_match", "checksum_matrix", "cost_asym", "cost_plain", "cost_sym",
+    "inject_duplicates", "kl_estimate", "knn_distances", "lookup_rate",
+    "macs_to_flops", "make_rng", "pairwise_best_match", "pairwise_sq_dists",
+    "partition_3d", "record_profile", "reduce_tokens", "restore_tokens",
+    "row_softmax", "run_pipeline", "score_reduction", "similarity_matrix",
+    "spawn_rngs", "standardize_profile", "tune_schedule",
 ]

@@ -1,8 +1,8 @@
-"""Dense numeric substrate: token matrices, matmul, row softmax, 3D rotary embedding.
+"""Dense numeric substrate: token matrices, row softmax, 3D rotary embedding.
 
 Matrices are plain 2-D numpy arrays (row-major, float64 by default). Operations
-validate shapes eagerly; finiteness is enforced at construction points
-(`as_matrix`, `TokenGrid`) and preserved by the stabilized operations.
+validate shapes eagerly; finiteness is enforced where tokens are built
+(`TokenGrid`) and preserved by the stabilized operations.
 
 Randomness goes through `make_rng` / `spawn_rngs`, which wrap numpy's PCG64
 generator: the same seed yields the same stream on every platform.
@@ -30,25 +30,6 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     """n independent child generators derived from one seed, in a fixed order."""
     root = np.random.SeedSequence(seed)
     return [np.random.Generator(np.random.PCG64(child)) for child in root.spawn(n)]
-
-
-def as_matrix(values, dtype=np.float64) -> Matrix:
-    """Validate and convert to a 2-D float matrix with finite entries."""
-    mat = np.asarray(values, dtype=dtype)
-    if mat.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={mat.ndim}")
-    if not np.isfinite(mat).all():
-        raise ValueError("matrix entries must be finite")
-    return mat
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Standard matrix product with an explicit inner-dimension check."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("matmul expects 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    return a @ b
 
 
 def row_softmax(a: Matrix, out: Matrix | None = None,
@@ -120,9 +101,6 @@ class TokenGrid:
     def feature_dim(self) -> int:
         return self.tokens.shape[1]
 
-    def flat_index(self, t: int, h: int, w: int) -> int:
-        return (t * self.h_dim + h) * self.w_dim + w
-
     @staticmethod
     def random(shape: tuple[int, int, int], feature_dim: int,
                rng: np.random.Generator) -> "TokenGrid":
@@ -186,20 +164,6 @@ def apply_rope_tables(mat: Matrix, cos: np.ndarray, sin: np.ndarray) -> Matrix:
     out_odd = np.multiply(even, sin, out=out[:, 1::2])
     out_odd += odd * cos
     return out
-
-
-def apply_rope3d(mat: Matrix, shape: tuple[int, int, int], base: float = 10000.0) -> Matrix:
-    """3D rotary position embedding over a t-major flattened (T, H, W) grid.
-
-    Each token's feature pairs are rotated by angles determined solely by its
-    (t, h, w) coordinate, so rotation preserves the norm of every pair and the
-    token at (0, 0, 0) is left unchanged.
-    """
-    n = shape[0] * shape[1] * shape[2]
-    if mat.shape[0] != n:
-        raise ValueError(f"matrix has {mat.shape[0]} rows, grid {shape} needs {n}")
-    cos, sin = rope3d_tables(shape, mat.shape[1], base)
-    return apply_rope_tables(mat, cos, sin)
 
 
 def pairwise_sq_dists(a: Matrix, b: Matrix,

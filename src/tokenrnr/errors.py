@@ -16,11 +16,19 @@ class InvariantError(RuntimeError):
     """A runtime invariant was violated mid-run (non-finite state, checksum drift...)."""
 
 
+def config_bool(name: str, value) -> bool:
+    """`value` itself, or a ConfigError naming the field if it is not a bool
+    (the string "no" and the number 3 are both rejected)."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def config_int(name: str, value) -> int:
     """`value` as an int, or a ConfigError naming the field if it is not a
-    whole number (a string, None, 2.5 and inf are all rejected)."""
+    whole number (a string, a bool, None, 2.5 and inf are all rejected)."""
     try:
-        whole = int(value)
+        whole = None if isinstance(value, bool) else int(value)
     except (TypeError, ValueError, OverflowError):
         whole = None
     if whole is None or whole != value:
@@ -41,7 +49,8 @@ def config_int_triple(name: str, value) -> tuple[int, int, int]:
 
 def config_real(name: str, value) -> float:
     """`value` as a float, or a ConfigError naming the field if it is not a
-    finite real number (a string, None, nan and inf are all rejected)."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+    finite real number (a string, a bool, None, nan and inf are all rejected)."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value)):
         raise ConfigError(f"{name} must be a finite real number, got {value!r}")
     return float(value)

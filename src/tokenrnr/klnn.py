@@ -89,12 +89,6 @@ def knn_distances(queries: Matrix, points: Matrix, k: int,
     return np.sqrt(out)
 
 
-def knn_distance(points: Matrix, query, k: int, exclude_self: bool = False) -> float:
-    """Single-query form of `knn_distances`."""
-    q = np.asarray(query, dtype=np.float64).reshape(1, -1)
-    return float(knn_distances(q, points, k, exclude_self)[0])
-
-
 def kl_estimate(reduced: Matrix, original: Matrix, k: int = 1) -> KlEstimate:
     """Estimate D(P'||P) from reduced ~ P' and original ~ P."""
     _validate_samples(reduced, min_rows=k + 1)
@@ -124,27 +118,3 @@ def score_reduction(tokens: Matrix, plan: ReductionPlan, k: int = 1) -> float:
     if plan.m <= k:
         raise ValueError(f"plan keeps m={plan.m} rows, need more than k={k}")
     return kl_estimate(tokens[plan.kept], tokens, k=k).value
-
-
-def unit_ball_volume(d: int) -> float:
-    """Volume of the d-dimensional unit L2 ball: pi^(d/2) / Gamma(d/2 + 1).
-
-    This constant cancels inside the divergence estimator; it is exposed for
-    the density-estimate diagnostics used in tests.
-    """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    return math.pi ** (d / 2) / math.gamma(d / 2 + 1)
-
-
-def knn_density(points: Matrix, query, k: int = 1, exclude_self: bool = False) -> float:
-    """k-NN density estimate at `query`: k / (count * volume of the k-NN ball).
-
-    The normalizing count is l - 1 when the query is one of the points
-    (exclude_self) and l otherwise. Diagnostic companion to `kl_estimate`.
-    """
-    l = points.shape[0]
-    count = l - 1 if exclude_self else l
-    radius = knn_distance(points, query, k, exclude_self)
-    d = points.shape[1]
-    return k / (count * unit_ball_volume(d) * radius ** d)

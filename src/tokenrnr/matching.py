@@ -54,9 +54,10 @@ class MatchResult:
 
     best_dst[i] is a position into Partition.dst_indices; reduce_order is a
     permutation of source positions sorted by best_sim descending (ties by
-    lowest source position). num_evals counts pairwise similarity
-    evaluations (always n_src * n_dst); zero_norm_rows counts rows the cosine
-    metric had to treat as -inf similarity.
+    lowest source position). num_evals counts the similarity entries
+    evaluated, summed over the row chunks (n_src * n_dst when every source
+    meets every destination); zero_norm_rows counts rows the cosine metric
+    had to treat as -inf similarity.
     """
 
     best_dst: np.ndarray
@@ -176,15 +177,17 @@ def pairwise_best_match(tokens: np.ndarray, part: Partition, metric: str = DEFAU
     chunk = max(1, _MATCH_CHUNK_ELEMS // part.n_dst)
     best_dst = np.empty(part.n_src, dtype=np.intp)
     best_sim = np.empty(part.n_src)
+    num_evals = 0
     for lo in range(0, part.n_src, chunk):
         sims = rows(lo, lo + chunk)
+        num_evals += sims.size
         best = np.argmax(sims, axis=1)
         best_dst[lo:lo + chunk] = best
         best_sim[lo:lo + chunk] = sims[np.arange(len(best)), best]
     reduce_order = np.argsort(-best_sim, kind="stable")
     return MatchResult(best_dst=best_dst, best_sim=best_sim,
                        reduce_order=reduce_order,
-                       num_evals=part.n_src * part.n_dst,
+                       num_evals=num_evals,
                        zero_norm_rows=zero_norm)
 
 

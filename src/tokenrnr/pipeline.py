@@ -22,7 +22,6 @@ otherwise.
 from __future__ import annotations
 
 import json
-import numbers
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -32,7 +31,8 @@ import numpy as np
 from . import flops
 from .core import (Matrix, TokenGrid, apply_rope_tables, checksum_matrix,
                    rope3d_tables, spawn_rngs)
-from .errors import ConfigError, InvariantError, config_int, config_int_triple
+from .errors import (ConfigError, InvariantError, config_bool, config_int,
+                     config_int_triple, config_real)
 from .matching import DEFAULT_METRIC, partition_3d, pairwise_best_match
 from .rnr import (REDUCE_OPS, ReductionPlan, attn_plain, build_plan,
                   reduce_tokens, restore_tokens)
@@ -60,10 +60,7 @@ class PipelineConfig:
     profiling: bool = False
     rope: bool = True
     reduce_op: str = "discard"
-    attn_scale: bool = True
     duplicate_fraction: float = 0.0
-    redraw_partition_each_step: bool = False
-    match_pre_rope: bool = False
     collect_norms: bool = False
 
     def __post_init__(self):
@@ -74,6 +71,8 @@ class PipelineConfig:
             raise ConfigError("all size fields must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name in ("profiling", "rope", "collect_norms"):
+            setattr(self, name, config_bool(name, getattr(self, name)))
         if self.feature_dim % self.num_heads != 0:
             raise ConfigError(
                 f"feature_dim {self.feature_dim} not divisible by num_heads {self.num_heads}")
@@ -81,8 +80,7 @@ class PipelineConfig:
             raise ConfigError(f"rnr_mode must be one of {RNR_MODES}, got {self.rnr_mode!r}")
         if self.reduce_op not in REDUCE_OPS:
             raise ConfigError(f"reduce_op must be one of {REDUCE_OPS}")
-        if not (isinstance(self.duplicate_fraction, numbers.Real)
-                and 0.0 <= self.duplicate_fraction < 1.0):
+        if not 0.0 <= config_real("duplicate_fraction", self.duplicate_fraction) < 1.0:
             raise ConfigError("duplicate_fraction must lie in [0, 1)")
 
     @property
@@ -103,10 +101,7 @@ class PipelineConfig:
             "profiling": self.profiling,
             "rope": self.rope,
             "reduce_op": self.reduce_op,
-            "attn_scale": self.attn_scale,
             "duplicate_fraction": self.duplicate_fraction,
-            "redraw_partition_each_step": self.redraw_partition_each_step,
-            "match_pre_rope": self.match_pre_rope,
             "collect_norms": self.collect_norms,
         }
         if self.schedule is not None:
@@ -244,7 +239,7 @@ def _rotate(x: Matrix, rope_tables, rows=slice(None)) -> Matrix:
 
 
 def attn_sym_rnr(h: Matrix, weights, plan: ReductionPlan | None,
-                 op: str = "discard", scale: bool = True,
+                 op: str = "discard",
                  rope_tables: tuple[np.ndarray, np.ndarray] | None = None,
                  num_heads: int = 1,
                  counter: flops.CostBreakdown | None = None) -> Matrix:
@@ -262,13 +257,13 @@ def attn_sym_rnr(h: Matrix, weights, plan: ReductionPlan | None,
     q, k, v = _project(h, weights, counter)
     q = _rotate(q, rope_tables, rows)
     k = _rotate(k, rope_tables, rows)
-    out = attn_plain(q, k, v, scale=scale, num_heads=num_heads, counter=counter)
+    out = attn_plain(q, k, v, num_heads=num_heads, counter=counter)
     return out if plan is None else restore_tokens(out, plan)
 
 
 def attn_asym_rnr(q: Matrix, k: Matrix, v: Matrix, plan_q: ReductionPlan | None,
                   plan_kv: ReductionPlan | None, op: str = "discard",
-                  scale: bool = True, num_heads: int = 1,
+                  num_heads: int = 1,
                   counter: flops.CostBreakdown | None = None) -> Matrix:
     """Asymmetric variant: reduce Q and K/V independently, restore Q only.
 
@@ -284,15 +279,15 @@ def attn_asym_rnr(q: Matrix, k: Matrix, v: Matrix, plan_q: ReductionPlan | None,
     if plan_kv is not None:
         k = reduce_tokens(k, plan_kv, op)
         v = reduce_tokens(v, plan_kv, op)
-    out = attn_plain(q, k, v, scale=scale, num_heads=num_heads, counter=counter)
+    out = attn_plain(q, k, v, num_heads=num_heads, counter=counter)
     return out if plan_q is None else restore_tokens(out, plan_q)
 
 
-def _matching_macs_for(part, d, metric) -> int:
-    # the random baseline does no arithmetic on the tokens
-    if metric == "random":
-        return 0
-    return flops.matching_macs(part.n_src, part.n_dst, d)
+def _matching_cost(match, d: int, metric: str) -> flops.CostBreakdown:
+    """MACs of one matching as it ran: a length-d comparison per evaluated
+    entry; the random baseline does no arithmetic on the tokens."""
+    return flops.CostBreakdown(
+        matching=0 if metric == "random" else match.num_evals * d)
 
 
 def _profile_stats(match) -> tuple[float, float, float]:
@@ -326,10 +321,6 @@ def run_pipeline(cfg: PipelineConfig,
         if sym and getattr(cfg, flag):
             raise ConfigError(f"{flag} needs the full feature set; run it with "
                               "reduction off or in asymmetric mode")
-    if (scheduled and cfg.redraw_partition_each_step
-            and schedule.cache_step > 1):
-        raise ConfigError("cached match results index a fixed partition; "
-                          "per-step partition redraws need cache_step=1")
 
     if scheduled and profile is None:
         pre = replace(cfg, profiling=True, rnr_mode="none", collect_norms=False)
@@ -342,6 +333,11 @@ def run_pipeline(cfg: PipelineConfig,
                 f"profile lattice ({profile.num_timesteps} steps x "
                 f"{profile.num_blocks} blocks) does not match the run "
                 f"({cfg.num_timesteps} x {cfg.num_blocks})")
+        # a grid mismatch is allowed: a small grid can profile a large run
+        if profile.metric != metric or profile.stride != stride:
+            raise ConfigError(
+                f"profile was recorded with metric {profile.metric!r} and stride "
+                f"{profile.stride}; the schedule uses {metric!r} and {stride}")
         needed = {"H"} if sym else set(schedule.rules)
         missing = needed - set(profile.features)
         if missing:
@@ -362,9 +358,9 @@ def run_pipeline(cfg: PipelineConfig,
                for _ in range(cfg.num_blocks)]
     rope_tabs = rope3d_tables(cfg.grid_shape, d) if cfg.rope else None
 
-    need_parts = scheduled or cfg.profiling
+    # one partition per block, drawn once: cached match results index it
     parts = None
-    if need_parts and not cfg.redraw_partition_each_step:
+    if scheduled or cfg.profiling:
         parts = [partition_3d(cfg.grid_shape, stride, rng_parts)
                  for _ in range(cfg.num_blocks)]
 
@@ -373,14 +369,13 @@ def run_pipeline(cfg: PipelineConfig,
     records: list[BlockRecord] = []
     norm_records: list[dict] = []
     profile_entries: list[tuple] = []
-    part = None
 
     # reads the current block's `part` and `recomputed` at call time
     def match_cached(feature, toks, t, b):
         match, fresh = cached_match(cache, feature, b, t, toks, part, metric, rng_match)
         if fresh:
             recomputed.append(feature)
-            measured.add(flops.CostBreakdown(matching=_matching_macs_for(part, d, metric)))
+            measured.add(_matching_cost(match, d, metric))
         return match
 
     loop_start = time.perf_counter()
@@ -389,9 +384,7 @@ def run_pipeline(cfg: PipelineConfig,
         for b in range(cfg.num_blocks):
             t0 = time.perf_counter()
             macs_before = measured.total
-            if need_parts:
-                part = (partition_3d(cfg.grid_shape, stride, rng_parts)
-                        if cfg.redraw_partition_each_step else parts[b])
+            part = parts[b] if parts else None
             rates: dict = {}
             recomputed: list[str] = []
 
@@ -402,21 +395,16 @@ def run_pipeline(cfg: PipelineConfig,
                 match = match_cached("H", y, t, b)
                 plan = build_plan(match, part, rate) if rate > 0.0 else None
                 m_q = m_kv = plan.m if plan else n
-                out = attn_sym_rnr(y, weights[b], plan, cfg.reduce_op, cfg.attn_scale,
+                out = attn_sym_rnr(y, weights[b], plan, cfg.reduce_op,
                                    rope_tabs, cfg.num_heads, measured)
             else:
                 q, k, v = _project(y, weights[b], measured)
-                match_q, match_k = q, k   # Q and K as matched: unrotated ...
                 q, k = _rotate(q, rope_tabs), _rotate(k, rope_tabs)
-                if not cfg.match_pre_rope:
-                    match_q, match_k = q, k   # ... unless matching follows rotary
 
                 if cfg.profiling:
-                    for feature, toks in (("H", y), ("Q", match_q), ("K", match_k),
-                                          ("V", v)):
+                    for feature, toks in (("H", y), ("Q", q), ("K", k), ("V", v)):
                         match = pairwise_best_match(toks, part, metric, rng_match)
-                        measured.add(flops.CostBreakdown(
-                            matching=_matching_macs_for(part, d, metric)))
+                        measured.add(_matching_cost(match, d, metric))
                         profile_entries.append((feature, t, b, *_profile_stats(match)))
 
                 if cfg.collect_norms:
@@ -429,16 +417,14 @@ def run_pipeline(cfg: PipelineConfig,
                     for feature in [f for f in plans if f in schedule.rules]:
                         rate = lookup_rate(schedule, profile, feature, t, b)
                         rates[feature] = rate
-                        match = match_cached(feature, v if feature == "V" else match_q, t, b)
+                        match = match_cached(feature, v if feature == "V" else q, t, b)
                         if rate > 0.0:
                             plans[feature] = build_plan(match, part, rate)
-                # the unrotated Q and K must not outlive matching (peak memory)
-                del match_q, match_k
                 plan_q, plan_kv = plans["Q"], plans["V"]
                 m_q = plan_q.m if plan_q else n
                 m_kv = plan_kv.m if plan_kv else n
                 out = attn_asym_rnr(q, k, v, plan_q, plan_kv, cfg.reduce_op,
-                                    cfg.attn_scale, cfg.num_heads, measured)
+                                    cfg.num_heads, measured)
 
             if out.shape[0] != n:
                 raise InvariantError(
@@ -454,7 +440,8 @@ def run_pipeline(cfg: PipelineConfig,
     total_wall = time.perf_counter() - loop_start
 
     # every partition of one grid and stride has the same n_src and n_dst
-    per_match = _matching_macs_for(part, d, metric) if part is not None else 0
+    per_match = (flops.matching_macs(part.n_src, part.n_dst, d)
+                 if part is not None and metric != "random" else 0)
     profiled = len(PROFILE_FEATURES) if cfg.profiling else 0
     predicted = flops.CostBreakdown()
     for rec in records:

@@ -49,10 +49,6 @@ class ReductionPlan:
     def m(self) -> int:
         return len(self.kept)
 
-    def rep_of(self) -> dict[int, int]:
-        """Mapping view of discarded index -> representative kept index."""
-        return {int(d): int(r) for d, r in zip(self.discarded, self.reps)}
-
     def validate(self) -> None:
         n = self.original_len
         if len(self.kept) + len(self.discarded) != n:
@@ -132,12 +128,10 @@ def restore_tokens(reduced_out: Matrix, plan: ReductionPlan) -> Matrix:
     return reduced_out[row_source]
 
 
-
-
-def attn_plain(q: Matrix, k: Matrix, v: Matrix, scale: bool = True,
-               num_heads: int = 1, counter: CostBreakdown | None = None) -> Matrix:
-    """Multi-head softmax(Q_h K_h^T * s) V_h with s = 1/sqrt(d_head) when
-    scaling is on; head h owns the h-th equal column block of Q, K and V.
+def attn_plain(q: Matrix, k: Matrix, v: Matrix, num_heads: int = 1,
+               counter: CostBreakdown | None = None) -> Matrix:
+    """Multi-head softmax(Q_h K_h^T / sqrt(d_head)) V_h; head h owns the h-th
+    equal column block of Q, K and V.
 
     Computed in row chunks so the full score matrix is never materialized;
     chunk size is a function of the shapes alone, keeping runs reproducible.
@@ -165,9 +159,7 @@ def attn_plain(q: Matrix, k: Matrix, v: Matrix, scale: bool = True,
     scores = np.empty((chunk, m_kv), dtype=np.result_type(q, k))
     out = np.empty((m_q, d_v), dtype=np.result_type(q, k, v))
     for h in range(num_heads):
-        q_h = q[:, h * d_h:(h + 1) * d_h]
-        if scale:
-            q_h = q_h * (1.0 / math.sqrt(d_h))
+        q_h = q[:, h * d_h:(h + 1) * d_h] * (1.0 / math.sqrt(d_h))
         kt = k[:, h * d_h:(h + 1) * d_h].T
         v_h = v[:, h * dv_h:(h + 1) * dv_h]
         out_h = out[:, h * dv_h:(h + 1) * dv_h]

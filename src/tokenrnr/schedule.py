@@ -33,7 +33,8 @@ SCHEDULABLE_FEATURES = ("Q", "V")
 
 def _as_rule_list(mapping) -> list[tuple[float, float]]:
     pairs = mapping.items() if isinstance(mapping, dict) else mapping
-    rules = sorted((float(t), float(r)) for t, r in pairs)
+    rules = sorted((config_real("threshold", t), config_real("rate", r))
+                   for t, r in pairs)
     thresholds = [t for t, _ in rules]
     if len(set(thresholds)) != len(thresholds):
         raise ConfigError(f"duplicate thresholds in schedule entry: {thresholds}")
@@ -104,9 +105,9 @@ class ScheduleConfig:
             if not isinstance(value, dict):
                 raise ConfigError(f"schedule entry {key!r} must map thresholds to rates")
             try:
-                rules[key] = [(float(t), float(r)) for t, r in value.items()]
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad threshold/rate in entry {key!r}: {exc}") from exc
+                rules[key] = [(float(t), r) for t, r in value.items()]
+            except ValueError as exc:
+                raise ConfigError(f"bad threshold in entry {key!r}: {exc}") from exc
         return ScheduleConfig(
             rules=rules,
             cache_step=payload.get("cache_step", 5),
@@ -151,6 +152,19 @@ class SimilarityProfile:
     records: list[ProfileRecord]
 
     def __post_init__(self):
+        if min(self.num_timesteps, self.num_blocks) < 1:
+            raise ConfigError("profile num_timesteps and num_blocks must be >= 1, "
+                              f"got {self.num_timesteps} and {self.num_blocks}")
+        if (not all(f in PROFILE_FEATURES for f in self.features)
+                or len(set(self.features)) != len(self.features)):
+            raise ConfigError(f"profile features must be distinct names from "
+                              f"{PROFILE_FEATURES}, got {self.features!r}")
+        # checked first, so the lattice set below is no larger than the records
+        if len(self.records) != len(self.features) * self.num_timesteps * self.num_blocks:
+            raise ConfigError(
+                f"profile has {len(self.records)} records, but its lattice of "
+                f"features x num_timesteps x num_blocks needs {len(self.features)} "
+                f"x {self.num_timesteps} x {self.num_blocks}")
         self._std = {(r.feature, r.t, r.b): r.sim_std for r in self.records}
         expected = {(f, t, b) for f in self.features
                     for t in range(self.num_timesteps)
@@ -200,6 +214,8 @@ class SimilarityProfile:
                 for r in payload["records"]]
             if meta["metric"] not in METRICS:
                 raise ConfigError(f"unknown metric {meta['metric']!r}")
+            if not isinstance(meta["features"], list):
+                raise ConfigError(f"features must be a list, got {meta['features']!r}")
             return SimilarityProfile(
                 num_timesteps=config_int("num_timesteps", meta["num_timesteps"]),
                 num_blocks=config_int("num_blocks", meta["num_blocks"]),

@@ -6,27 +6,14 @@ matching/selection/ordering logic.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
-def naive_matmul(a, b):
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for p in range(k):
-                acc += a[i, p] * b[p, j]
-            out[i, j] = acc
-    return out
-
-
-def naive_attention(q, k, v, scale=True):
+def naive_attention(q, k, v):
     """Row-by-row softmax attention with explicit normalization."""
-    d = q.shape[1]
-    s = 1.0 / np.sqrt(d) if scale else 1.0
+    s = 1.0 / np.sqrt(q.shape[1])
     out = np.zeros((q.shape[0], v.shape[1]))
     for i in range(q.shape[0]):
         scores = np.array([s * float(np.dot(q[i], k[j])) for j in range(k.shape[0])])
@@ -72,6 +59,25 @@ def sort_based_knn(points, query, k, exclude_self=False):
     if exclude_self:
         dists = dists[1:]
     return float(dists[k - 1])
+
+
+def knn_density_kl(reduced, original, k):
+    """Mean log ratio of the k-NN density estimates at the reduced samples.
+
+    The density estimate at x is k / (count * V_d * r^d), with r the k-th
+    neighbor distance (from `sort_based_knn`), V_d the unit-ball volume and
+    count l' - 1 within `reduced` (x itself excluded) or l within `original`.
+    """
+    d = reduced.shape[1]
+    ball = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
+    logs = []
+    for x in reduced:
+        rho = sort_based_knn(reduced, x, k, exclude_self=True)
+        nu = sort_based_knn(original, x, k)
+        p_hat = k / ((len(reduced) - 1) * ball * rho ** d)
+        q_hat = k / (len(original) * ball * nu ** d)
+        logs.append(math.log(p_hat / q_hat))
+    return float(np.mean(logs))
 
 
 def naive_distances(points, query):

@@ -8,12 +8,14 @@ from tokenrnr.cli import main
 from tokenrnr.schedule import SimilarityProfile
 
 
+SMALL_CFG = {"grid_shape": [2, 4, 4], "feature_dim": 8, "num_blocks": 2,
+             "num_heads": 2, "num_timesteps": 4, "seed": 7}
+
+
 @pytest.fixture
 def cfg_path(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({
-        "grid_shape": [2, 4, 4], "feature_dim": 8, "num_blocks": 2,
-        "num_heads": 2, "num_timesteps": 4, "seed": 7}))
+    path.write_text(json.dumps(SMALL_CFG))
     return str(path)
 
 
@@ -67,10 +69,17 @@ class TestProfileCommand:
         ("num_blocks", {"num_blocks": "x"}),
         ("cache_step", {"schedule": {"cache_step": "five"}}),
         ("seed", {"seed": -1}),
+        ("rope", {"rope": "no"}),
+        ("profiling", {"profiling": 3}),
+        ("cache_step", {"schedule": {"cache_step": True}}),
+        ("num_heads", {"num_heads": True}),
+        ("threshold", {"schedule": {"Q": {"NaN": 0.3}}}),
+        ("threshold", {"schedule": {"Q": {"inf": 0.3}}}),
+        ("rate", {"schedule": {"Q": {"0.5": "0.3"}}}),
     ])
     def test_bad_field_value_exits_2(self, tmp_path, capsys, field, payload):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(payload))
+        bad.write_text(json.dumps({**SMALL_CFG, **payload}))
         assert main(["profile", "--config", str(bad),
                      "--out", str(tmp_path / "x.json")]) == 2
         assert field in capsys.readouterr().err
@@ -143,6 +152,18 @@ class TestBenchCommand:
                    "--repeat", "1", "--warmup", "0"])
         assert rc == 2
 
+    def test_profile_schedule_mismatch_exits_2(self, cfg_path, tmp_path, capsys):
+        prof_path = tmp_path / "prof.json"
+        main(["profile", "--config", cfg_path, "--out", str(prof_path)])
+        sched = tmp_path / "cosine.json"
+        sched.write_text(json.dumps({"Q": {"0.0": 0.5}, "stride": [1, 2, 2],
+                                     "metric": "cosine"}))
+        rc = main(["bench", "--config", cfg_path, "--schedule", str(sched),
+                   "--profile", str(prof_path), "--out", str(tmp_path / "b.csv"),
+                   "--repeat", "1", "--warmup", "0"])
+        assert rc == 2
+        assert "profile was recorded with metric" in capsys.readouterr().err
+
     @pytest.mark.parametrize("section, key, raw", [
         ("metadata", "num_timesteps", "1e999"),
         ("record", "t", "0.7"),
@@ -150,6 +171,11 @@ class TestBenchCommand:
         ("metadata", "stride", '"ab"'),
         ("record", "sim_std", '"nan"'),
         ("record", "sim_std", "NaN"),
+        ("metadata", "features", '"HQKV"'),
+        ("metadata", "features", '["H", "Q", "K", "V", "V"]'),
+        ("metadata", "num_timesteps", "-3"),
+        # rejected by the record count before any lattice set is built
+        ("metadata", "num_timesteps", "1000000000"),
     ])
     def test_bad_profile_value_exits_2(self, cfg_path, schedule_path, tmp_path,
                                        section, key, raw, capsys):

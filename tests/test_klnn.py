@@ -1,16 +1,13 @@
-import math
-
 import numpy as np
 import pytest
 
 from tokenrnr import klnn
 from tokenrnr.core import make_rng
-from tokenrnr.klnn import (kl_estimate, knn_density, knn_distance, knn_distances,
-                           score_reduction, unit_ball_volume)
+from tokenrnr.klnn import kl_estimate, knn_distances, score_reduction
 from tokenrnr.matching import partition_3d, pairwise_best_match
 from tokenrnr.rnr import ReductionPlan, build_plan
 
-from oracles import naive_distances, sort_based_knn
+from oracles import knn_density_kl, naive_distances, sort_based_knn
 
 
 def gaussian_pair(seed, l, d, mu):
@@ -23,13 +20,14 @@ def gaussian_pair(seed, l, d, mu):
 class TestKnnDistance:
     def test_coincident_query_without_exclusion(self):
         points = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 0.0]])
-        assert knn_distance(points, [0.0, 0.0], k=1) == 0.0
+        assert knn_distances(np.array([[0.0, 0.0]]), points, k=1)[0] == 0.0
 
     def test_hand_countable_line(self):
         points = np.array([[0.0], [1.0], [3.0]])
-        assert knn_distance(points, [0.0], k=2, exclude_self=True) == 3.0
-        assert knn_distance(points, [0.0], k=1, exclude_self=True) == 1.0
-        assert knn_distance(points, [0.0], k=2, exclude_self=False) == 1.0
+        q = np.array([[0.0]])
+        assert knn_distances(q, points, k=2, exclude_self=True)[0] == 3.0
+        assert knn_distances(q, points, k=1, exclude_self=True)[0] == 1.0
+        assert knn_distances(q, points, k=2, exclude_self=False)[0] == 1.0
 
     def test_against_sort_oracle(self):
         rng = make_rng(1)
@@ -37,7 +35,7 @@ class TestKnnDistance:
         for seed in range(20):
             q = make_rng(100 + seed).standard_normal(5)
             for k in (1, 3, 7):
-                got = knn_distance(points, q, k)
+                got = knn_distances(q[None], points, k)[0]
                 want = sort_based_knn(points, q, k)
                 assert got == want
 
@@ -45,7 +43,7 @@ class TestKnnDistance:
         rng = make_rng(2)
         points = rng.standard_normal((25, 3))
         for i in range(25):
-            got = knn_distance(points, points[i], k=2, exclude_self=True)
+            got = knn_distances(points[i:i + 1], points, k=2, exclude_self=True)[0]
             want = sort_based_knn(points, points[i], k=2, exclude_self=True)
             assert got == want
 
@@ -56,26 +54,27 @@ class TestKnnDistance:
             q = make_rng(500 + seed).standard_normal(6)
             naive_sorted = np.sort(naive_distances(points, q))
             for k in (1, 4):
-                assert knn_distance(points, q, k) == pytest.approx(
+                assert knn_distances(q[None], points, k)[0] == pytest.approx(
                     float(naive_sorted[k - 1]), rel=1e-12, abs=1e-12)
 
     def test_k_out_of_range(self):
         points = np.ones((3, 2))
+        q = np.zeros((1, 2))
         with pytest.raises(ValueError, match="k="):
-            knn_distance(points, [0.0, 0.0], k=4)
+            knn_distances(q, points, k=4)
         with pytest.raises(ValueError, match="k="):
-            knn_distance(points, [0.0, 0.0], k=3, exclude_self=True)
+            knn_distances(q, points, k=3, exclude_self=True)
 
     def test_batch_matches_single(self):
-        # batched and single-query paths hit different BLAS kernel shapes,
+        # batched and single-query calls hit different BLAS kernel shapes,
         # so agreement is to rounding, not bitwise
         rng = make_rng(3)
         points = rng.standard_normal((30, 4))
         queries = rng.standard_normal((8, 4))
         batch = knn_distances(queries, points, k=2)
-        for i, q in enumerate(queries):
-            assert batch[i] == pytest.approx(knn_distance(points, q, k=2),
-                                             rel=1e-12)
+        for i in range(len(queries)):
+            assert batch[i] == pytest.approx(
+                knn_distances(queries[i:i + 1], points, k=2)[0], rel=1e-12)
 
     @pytest.mark.parametrize("chunk_rows", [2, 7, 20])
     def test_near_zero_refine_does_not_depend_on_chunking(self, monkeypatch,
@@ -160,14 +159,8 @@ class TestKlEstimate:
         rng = make_rng(7)
         reduced = rng.standard_normal((15, 3))
         original = rng.standard_normal((20, 3))
-        k = 2
-        est = kl_estimate(reduced, original, k=k).value
-        logs = []
-        for x in reduced:
-            p_hat = knn_density(reduced, x, k=k, exclude_self=True)
-            q_hat = knn_density(original, x, k=k, exclude_self=False)
-            logs.append(math.log(p_hat / q_hat))
-        assert est == pytest.approx(float(np.mean(logs)), abs=1e-9)
+        est = kl_estimate(reduced, original, k=2).value
+        assert est == pytest.approx(knn_density_kl(reduced, original, k=2), abs=1e-9)
 
     def test_degenerate_counts_rejected(self):
         with pytest.raises(ValueError):
@@ -181,17 +174,6 @@ class TestKlEstimate:
         est = kl_estimate(pts, pts, k=1)
         assert np.isfinite(est.value)
         assert est.value < 0  # floored nu makes the value strongly negative
-
-
-class TestUnitBall:
-    def test_known_volumes(self):
-        assert unit_ball_volume(1) == pytest.approx(2.0)
-        assert unit_ball_volume(2) == pytest.approx(math.pi)
-        assert unit_ball_volume(3) == pytest.approx(4 * math.pi / 3)
-
-    def test_dimension_validation(self):
-        with pytest.raises(ValueError):
-            unit_ball_volume(0)
 
 
 def clustered_grid_tokens(rng, d=8, redundant_chunks=16, sigma=1e-3):

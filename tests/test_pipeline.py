@@ -1,11 +1,13 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from tokenrnr import schedule as schedule_mod
 from tokenrnr.core import TokenGrid, make_rng
-from tokenrnr.errors import ConfigError
+from tokenrnr.errors import ConfigError, InvariantError
 from tokenrnr.pipeline import (PipelineConfig, inject_duplicates,
                                row_norm_percentiles, run_pipeline)
 from tokenrnr.schedule import ScheduleConfig
@@ -123,20 +125,32 @@ class TestScheduledRuns:
                                    schedule=aggressive_schedule()),
                          profile=profiled.profile)
 
+    @pytest.mark.parametrize("metric, stride", [("cosine", (2, 2, 2)),
+                                                ("neg_euclidean", (1, 2, 2))])
+    def test_profile_metric_or_stride_mismatch_rejected(self, metric, stride):
+        # the profile is recorded with neg_euclidean and stride (2, 2, 2)
+        profile = run_pipeline(small_cfg(profiling=True)).profile
+        with pytest.raises(ConfigError, match="profile was recorded with"):
+            run_pipeline(small_cfg(rnr_mode="asym", schedule=aggressive_schedule(
+                metric=metric, stride=stride)), profile=profile)
+
+    def test_matching_work_is_counted_as_it_ran(self, monkeypatch):
+        # a matching that reports one evaluation fewer than the cost model
+        # predicts must break measured-vs-predicted parity
+        real = schedule_mod.pairwise_best_match
+
+        def under_reported(*args, **kwargs):
+            match = real(*args, **kwargs)
+            return dataclasses.replace(match, num_evals=match.num_evals - 1)
+
+        monkeypatch.setattr(schedule_mod, "pairwise_best_match", under_reported)
+        with pytest.raises(InvariantError, match="diverge"):
+            run_pipeline(small_cfg(rnr_mode="asym", schedule=aggressive_schedule()))
+
     def test_mean_reduce_op_runs(self):
         report = run_pipeline(small_cfg(rnr_mode="asym", reduce_op="mean",
                                         schedule=aggressive_schedule()))
         assert report.total_macs > 0
-
-    def test_partition_redraw_requires_uncached_matching(self):
-        with pytest.raises(ConfigError, match="cache_step=1"):
-            run_pipeline(small_cfg(rnr_mode="asym",
-                                   schedule=aggressive_schedule(cache_step=5),
-                                   redraw_partition_each_step=True))
-        report = run_pipeline(small_cfg(rnr_mode="asym",
-                                        schedule=aggressive_schedule(cache_step=1),
-                                        redraw_partition_each_step=True))
-        assert report.measured.as_dict() == report.predicted.as_dict()
 
 
 class TestProfiling:
@@ -169,13 +183,6 @@ class TestProfiling:
         report = run_pipeline(small_cfg(rnr_mode="asym",
                                         schedule=aggressive_schedule()))
         assert report.total_macs > 0  # pre-pass happened internally
-
-    def test_match_pre_rope_flag_changes_profile(self):
-        post = run_pipeline(small_cfg(profiling=True)).profile
-        pre = run_pipeline(small_cfg(profiling=True, match_pre_rope=True)).profile
-        raw = lambda p, f: [r.sim_raw for r in p.records if r.feature == f]
-        assert raw(post, "Q") != raw(pre, "Q")
-        assert raw(post, "V") == raw(pre, "V")  # V has no rotary component
 
 
 class TestInjectDuplicates:

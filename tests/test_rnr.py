@@ -101,7 +101,7 @@ class TestReduceRestore:
                              original_len=9, rate=0.5)
         assert np.array_equal(reduce_tokens(tokens, plan, "discard"),
                               gather_rows(tokens, kept))
-        expected = mean_merge_rows(tokens, kept, plan.rep_of())
+        expected = mean_merge_rows(tokens, kept, dict(zip(discarded, reps)))
         assert np.abs(reduce_tokens(tokens, plan, "mean") - expected).max() <= 1e-12
 
     def test_restore_replicates_representatives(self):
@@ -122,7 +122,7 @@ class TestReduceRestore:
         tokens, part, match = toy_match(seed=9, shape=(2, 3, 2), stride=(2, 1, 2))
         plan = build_plan(match, part, 0.6)
         roundtrip = restore_tokens(reduce_tokens(tokens, plan), plan)
-        rep_of = plan.rep_of()
+        rep_of = dict(zip(plan.discarded, plan.reps))
         for i in range(part.n_tokens):
             expected = tokens[rep_of[i]] if i in rep_of else tokens[i]
             assert np.array_equal(roundtrip[i], expected)
@@ -159,10 +159,7 @@ class TestAttnPlain:
         q = rng.standard_normal((8, 4))
         k = rng.standard_normal((8, 4))
         v = rng.standard_normal((8, 4))
-        for scale in (True, False):
-            got = attn_plain(q, k, v, scale=scale)
-            want = naive_attention(q, k, v, scale=scale)
-            assert np.abs(got - want).max() <= 1e-12
+        assert np.abs(attn_plain(q, k, v) - naive_attention(q, k, v)).max() <= 1e-12
 
     def test_chunk_seams_match_dense_softmax(self):
         chunk = rnr._ATTN_CHUNK_ELEMS // 16384
@@ -202,13 +199,12 @@ class TestMultiHead:
         k = rng.standard_normal((13, 8))
         v = rng.standard_normal((13, 12))
         d_h, dv_h = 8 // num_heads, 12 // num_heads
-        for scale in (True, False):
-            want = np.concatenate(
-                [naive_attention(q[:, h * d_h:(h + 1) * d_h], k[:, h * d_h:(h + 1) * d_h],
-                                 v[:, h * dv_h:(h + 1) * dv_h], scale=scale)
-                 for h in range(num_heads)], axis=1)
-            got = attn_plain(q, k, v, scale=scale, num_heads=num_heads)
-            assert np.abs(got - want).max() <= 1e-12
+        want = np.concatenate(
+            [naive_attention(q[:, h * d_h:(h + 1) * d_h], k[:, h * d_h:(h + 1) * d_h],
+                             v[:, h * dv_h:(h + 1) * dv_h])
+             for h in range(num_heads)], axis=1)
+        got = attn_plain(q, k, v, num_heads=num_heads)
+        assert np.abs(got - want).max() <= 1e-12
 
     @pytest.mark.parametrize("num_heads", [1, 2, 4])
     def test_counter_matches_cost_model(self, num_heads):
@@ -242,9 +238,9 @@ class TestSymRnr:
         self.weights = tuple(rng.standard_normal((self.d, self.d)) / np.sqrt(self.d)
                              for _ in range(3))
 
-    def plain_reference(self, h, scale=True):
+    def plain_reference(self, h):
         w_q, w_k, w_v = self.weights
-        return attn_plain(h @ w_q, h @ w_k, h @ w_v, scale=scale)
+        return attn_plain(h @ w_q, h @ w_k, h @ w_v)
 
     def test_zero_rate_equals_plain(self):
         rng = make_rng(21)
@@ -334,7 +330,7 @@ class TestAsymRnr:
         q_match = pairwise_best_match(q, part, "neg_euclidean")
         plan_q = build_plan(q_match, part, 0.5)
         out = attn_asym_rnr(q, k, v, plan_q, ReductionPlan.identity(n))
-        for disc, rep in plan_q.rep_of().items():
+        for disc, rep in zip(plan_q.discarded, plan_q.reps):
             assert np.array_equal(out[disc], out[rep])
 
     def test_output_always_has_original_length(self):

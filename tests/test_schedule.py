@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -160,6 +161,13 @@ class TestProfile:
             record_profile(full, num_timesteps=2, num_blocks=1,
                            grid_shape=(2, 2, 2), stride=(2, 2, 2),
                            metric="neg_euclidean")
+
+    def test_unknown_feature_rejected_even_when_records_match(self):
+        prof = fixed_profile()
+        records = [dataclasses.replace(r, feature="X") if r.feature == "V" else r
+                   for r in prof.records]
+        with pytest.raises(ConfigError, match="features"):
+            dataclasses.replace(prof, features=("H", "Q", "K", "X"), records=records)
 
     def test_json_round_trip_is_byte_stable(self, tmp_path):
         prof = profile_with({"Q": 0.25})

@@ -12,8 +12,8 @@ Library layout:
 - flops: analytical multiply-add cost model
 - cli: profiling / benchmarking / ablation command line
 """
-from .core import (Matrix, TokenGrid, checksum_matrix, make_rng,
-                   pairwise_sq_dists, row_softmax, spawn_rngs)
+from .core import (Matrix, checksum_matrix, make_rng, pairwise_sq_dists,
+                   row_softmax, spawn_rngs)
 from .errors import ConfigError, InvariantError
 from .flops import CostBreakdown, cost_asym, cost_plain, cost_sym, macs_to_flops
 from .klnn import KlEstimate, kl_estimate, knn_distances, score_reduction
@@ -33,7 +33,7 @@ __all__ = [
     "ConfigError", "CostBreakdown", "InvariantError",
     "KlEstimate", "MatchResult", "MatchingCache", "Matrix", "Partition",
     "PipelineConfig", "ReductionPlan", "RunReport", "ScheduleConfig",
-    "SimilarityProfile", "TokenGrid", "TuneResult", "TuneStep",
+    "SimilarityProfile", "TuneResult", "TuneStep",
     "attn_asym_rnr", "attn_plain", "attn_sym_rnr", "build_plan",
     "cached_match", "checksum_matrix", "cost_asym", "cost_plain", "cost_sym",
     "inject_duplicates", "kl_estimate", "knn_distances", "lookup_rate",

@@ -18,11 +18,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core import TokenGrid, make_rng, spawn_rngs
+from .core import make_rng
 from .errors import ConfigError, InvariantError
 from .klnn import kl_estimate
 from .matching import METRICS, partition_3d, pairwise_best_match
-from .pipeline import PipelineConfig, RunReport, inject_duplicates, run_pipeline
+from .pipeline import (PipelineConfig, RunReport, run_pipeline, seeded_inputs,
+                       unreduced_profile)
 from .rnr import build_plan
 from .schedule import ScheduleConfig, SimilarityProfile
 
@@ -35,6 +36,8 @@ ABLATE_DIMENSIONS = ("metric", "reduce_op", "cache_step", "stride", "feature")
 
 
 def _load_config(args) -> PipelineConfig:
+    """The --config file (else the defaults), with --seed, --mode and
+    --schedule overriding its fields where given."""
     if args.config:
         try:
             cfg = PipelineConfig.from_file(args.config)
@@ -42,11 +45,14 @@ def _load_config(args) -> PipelineConfig:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     else:
         cfg = PipelineConfig()
+    overrides = {}
     if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
+        overrides["seed"] = args.seed
     if getattr(args, "mode", None) is not None:
-        cfg = replace(cfg, rnr_mode=args.mode)
-    return cfg
+        overrides["rnr_mode"] = args.mode
+    if getattr(args, "schedule", None):
+        overrides["schedule"] = _load_schedule(args.schedule)
+    return replace(cfg, **overrides)
 
 
 def _load_schedule(path) -> ScheduleConfig:
@@ -92,33 +98,29 @@ def _timed_runs(cfg: PipelineConfig, profile, repeat: int, warmup: int
 
 
 def cmd_profile(args) -> int:
-    cfg = _load_config(args)
-    cfg = replace(cfg, profiling=True)
-    if cfg.schedule is None and args.schedule:
-        cfg = replace(cfg, schedule=_load_schedule(args.schedule))
-    report = run_pipeline(cfg)
-    report.profile.to_file(args.out)
-    print(f"wrote {len(report.profile.records)} profile records to {args.out}")
+    profile = unreduced_profile(_load_config(args))
+    profile.to_file(args.out)
+    print(f"wrote {len(profile.records)} profile records to {args.out}")
     return 0
 
 
 def cmd_bench(args) -> int:
     cfg = _load_config(args)
-    schedule = _load_schedule(args.schedule) if args.schedule else ScheduleConfig.identity()
-    mode = args.mode or "asym"
+    schedule = cfg.schedule or ScheduleConfig.identity()
+    # a config without reduction is benchmarked in asymmetric mode, unless
+    # --mode asks for none
+    mode = args.mode or ("asym" if cfg.rnr_mode == "none" else cfg.rnr_mode)
+    sched_cfg = replace(cfg, rnr_mode=mode, schedule=schedule)
     if args.profile:
         profile = SimilarityProfile.from_file(args.profile)
-    elif schedule.is_identity:
-        profile = None
-    else:
+    elif sched_cfg.scheduled:
         print("no profile supplied; recording one with a profiling pre-run")
-        pre = replace(cfg, profiling=True, rnr_mode="none",
-                      schedule=schedule, collect_norms=False)
-        profile = run_pipeline(pre).profile
+        profile = unreduced_profile(sched_cfg)
+    else:
+        profile = None
 
     base_cfg = replace(cfg, rnr_mode="none", schedule=None)
     base_report, base_walls = _timed_runs(base_cfg, None, args.repeat, args.warmup)
-    sched_cfg = replace(cfg, rnr_mode=mode, schedule=schedule)
     sched_report, sched_walls = _timed_runs(sched_cfg, profile, args.repeat, args.warmup)
 
     base_ms = statistics.median(base_walls) * 1e3
@@ -148,35 +150,24 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _ablation_schedule(features: tuple[str, ...], rate: float, cache_step: int,
-                       stride, metric: str) -> ScheduleConfig:
-    rules = {f: [(0.0, rate)] for f in features}
-    return ScheduleConfig(rules=rules, cache_step=cache_step, stride=stride,
-                          metric=metric)
-
-
 _KL_SCORE_CAP = 2048
 
 
-def _kl_score_for(cfg: PipelineConfig, stride, metric: str,
-                  rate: float) -> tuple[float, float]:
+def _kl_score_for(cfg: PipelineConfig, rate: float) -> tuple[float, float]:
     """Diagnostic divergence of a one-shot reduction of the initial tokens,
     and the destination ratio of the partition it drew.
 
-    The initial tokens and the partition come from the same seeded streams
-    as the pipeline's. On large grids both sample sets are thinned by a
-    deterministic stride to keep the brute-force neighbor search bounded; the
-    score is comparative across sweep points, not a calibrated divergence.
+    The initial tokens and the partition come from the pipeline's own seeded
+    inputs, matched with the config's stride and metric. On large grids both
+    sample sets are thinned by a deterministic stride to keep the brute-force
+    neighbor search bounded; the score is comparative across sweep points,
+    not a calibrated divergence.
     """
-    rng_init, _, rng_parts, rng_dup, rng_match = spawn_rngs(cfg.seed, 5)
-    grid = TokenGrid.random(cfg.grid_shape, cfg.feature_dim, rng_init)
-    if cfg.duplicate_fraction > 0.0:
-        grid = inject_duplicates(grid, cfg.duplicate_fraction, rng_dup)
-    part = partition_3d(cfg.grid_shape, stride, rng_parts)
-    match = pairwise_best_match(grid.tokens, part, metric, rng_match)
+    original, _, rng_parts, rng_match = seeded_inputs(cfg)
+    part = partition_3d(cfg.grid_shape, cfg.stride, rng_parts)
+    match = pairwise_best_match(original, part, cfg.metric, rng_match)
     plan = build_plan(match, part, rate)
-    kept = grid.tokens[plan.kept]
-    original = grid.tokens
+    kept = original[plan.kept]
     if len(kept) > _KL_SCORE_CAP:
         kept = kept[::math.ceil(len(kept) / _KL_SCORE_CAP)]
     if len(original) > 2 * _KL_SCORE_CAP:
@@ -190,38 +181,35 @@ def cmd_ablate(args) -> int:
                           f"expected one of {ABLATE_DIMENSIONS}")
     cfg = _load_config(args)
     rate = args.rate
+
+    def point(label, features="V", cache_step=5, stride=(2, 2, 2),
+              metric="neg_euclidean", **fields) -> tuple[str, PipelineConfig]:
+        """An asymmetric run reducing `features` (joined by +) at `rate`."""
+        sched = ScheduleConfig(rules={f: [(0.0, rate)] for f in features.split("+")},
+                               cache_step=cache_step, stride=stride, metric=metric)
+        return label, replace(cfg, rnr_mode="asym", schedule=sched, **fields)
+
+    # every point is built, and so checked, before anything runs
+    if args.dimension == "metric":
+        points = [point(m, metric=m) for m in METRICS]
+    elif args.dimension == "reduce_op":
+        points = [point(op, reduce_op=op) for op in ("discard", "mean")]
+    elif args.dimension == "cache_step":
+        points = [point(str(s), cache_step=s) for s in CACHE_STEP_GRID]
+    elif args.dimension == "stride":
+        points = [point("x".join(map(str, s)), stride=s) for s in STRIDE_GRID]
+    else:  # feature
+        points = [point(f, features=f) for f in ("Q", "V", "Q+V")]
     base_report = run_pipeline(replace(cfg, rnr_mode="none", schedule=None))
 
-    points: list[tuple[str, ScheduleConfig, PipelineConfig]] = []
-    if args.dimension == "metric":
-        for metric in METRICS:
-            sched = _ablation_schedule(("V",), rate, 5, (2, 2, 2), metric)
-            points.append((metric, sched, replace(cfg, rnr_mode="asym", schedule=sched)))
-    elif args.dimension == "reduce_op":
-        for op in ("discard", "mean"):
-            sched = _ablation_schedule(("V",), rate, 5, (2, 2, 2), "neg_euclidean")
-            points.append((op, sched, replace(cfg, rnr_mode="asym", schedule=sched,
-                                              reduce_op=op)))
-    elif args.dimension == "cache_step":
-        for s in CACHE_STEP_GRID:
-            sched = _ablation_schedule(("V",), rate, s, (2, 2, 2), "neg_euclidean")
-            points.append((str(s), sched, replace(cfg, rnr_mode="asym", schedule=sched)))
-    elif args.dimension == "stride":
-        for stride in STRIDE_GRID:
-            sched = _ablation_schedule(("V",), rate, 5, stride, "neg_euclidean")
-            points.append(("x".join(map(str, stride)), sched,
-                           replace(cfg, rnr_mode="asym", schedule=sched)))
-    else:  # feature
-        for label, feats in (("Q", ("Q",)), ("V", ("V",)), ("Q+V", ("Q", "V"))):
-            sched = _ablation_schedule(feats, rate, 5, (2, 2, 2), "neg_euclidean")
-            points.append((label, sched, replace(cfg, rnr_mode="asym", schedule=sched)))
-
     def run_point(item):
-        label, sched, point_cfg = item
+        label, point_cfg = item
+        # the profile pre-run stays outside the timed run
+        profile = unreduced_profile(point_cfg)
         t0 = time.perf_counter()
-        report = run_pipeline(point_cfg)
+        report = run_pipeline(point_cfg, profile)
         wall_ms = (time.perf_counter() - t0) * 1e3
-        kl, dst_ratio = _kl_score_for(point_cfg, sched.stride, sched.metric, rate)
+        kl, dst_ratio = _kl_score_for(point_cfg, rate)
         deviation = float(np.abs(report.final_tokens - base_report.final_tokens).max())
         bsm_counts = {}
         for rec in report.records:

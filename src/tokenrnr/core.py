@@ -1,8 +1,10 @@
 """Dense numeric substrate: token matrices, row softmax, 3D rotary embedding.
 
 Matrices are plain 2-D numpy arrays (row-major, float64 by default). Operations
-validate shapes eagerly; finiteness is enforced where tokens are built
-(`TokenGrid`) and preserved by the stabilized operations.
+validate shapes eagerly, and the stabilized operations keep finite inputs
+finite. The tokens of a (T, H, W) grid are the rows of one matrix, flattened
+t-major: grid position (t, h, w) is row ((t * H) + h) * W + w. All
+partitioning and stride logic in this package relies on that order.
 
 Randomness goes through `make_rng` / `spawn_rngs`, which wrap numpy's PCG64
 generator: the same seed yields the same stream on every platform.
@@ -10,7 +12,6 @@ generator: the same seed yields the same stream on every platform.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,51 +63,6 @@ def row_softmax(a: Matrix, out: Matrix | None = None,
 def row_sums(a: Matrix) -> np.ndarray:
     """Sum of each row, as one matrix-vector product (faster than a.sum(axis=1))."""
     return a @ np.ones(a.shape[1], dtype=a.dtype)
-
-
-@dataclass(frozen=True)
-class TokenGrid:
-    """A (T, H, W) grid of d-dimensional tokens, flattened t-major.
-
-    The flat index of grid position (t, h, w) is ((t * h_dim) + h) * w_dim + w.
-    All partitioning and stride logic in this package relies on that order.
-    """
-
-    t_dim: int
-    h_dim: int
-    w_dim: int
-    tokens: Matrix
-
-    def __post_init__(self):
-        if min(self.t_dim, self.h_dim, self.w_dim) < 1:
-            raise ValueError("grid dimensions must be >= 1")
-        n = self.t_dim * self.h_dim * self.w_dim
-        if self.tokens.ndim != 2 or self.tokens.shape[0] != n:
-            raise ValueError(
-                f"token matrix must have {n} rows for grid "
-                f"({self.t_dim},{self.h_dim},{self.w_dim}), got {self.tokens.shape}"
-            )
-        if not np.isfinite(self.tokens).all():
-            raise ValueError("grid tokens must be finite")
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return (self.t_dim, self.h_dim, self.w_dim)
-
-    @property
-    def n_tokens(self) -> int:
-        return self.tokens.shape[0]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.tokens.shape[1]
-
-    @staticmethod
-    def random(shape: tuple[int, int, int], feature_dim: int,
-               rng: np.random.Generator) -> "TokenGrid":
-        t, h, w = shape
-        tokens = rng.standard_normal((t * h * w, feature_dim))
-        return TokenGrid(t, h, w, tokens)
 
 
 def grid_coordinates(shape: tuple[int, int, int]) -> np.ndarray:

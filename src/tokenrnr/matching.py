@@ -56,15 +56,13 @@ class MatchResult:
     permutation of source positions sorted by best_sim descending (ties by
     lowest source position). num_evals counts the similarity entries
     evaluated, summed over the row chunks (n_src * n_dst when every source
-    meets every destination); zero_norm_rows counts rows the cosine metric
-    had to treat as -inf similarity.
+    meets every destination).
     """
 
     best_dst: np.ndarray
     best_sim: np.ndarray
     reduce_order: np.ndarray
     num_evals: int
-    zero_norm_rows: int = 0
 
 
 def partition_3d(grid_shape: tuple[int, int, int], stride: tuple[int, int, int],
@@ -108,7 +106,7 @@ _MATCH_CHUNK_ELEMS = 1 << 18
 def _similarity_rows(src: np.ndarray, dst: np.ndarray, metric: str,
                      rng: np.random.Generator | None):
     """A function of (lo, hi) giving the similarities of src[lo:hi] to every
-    destination, plus the zero-norm diagnostic count.
+    destination.
 
     Blocks taken in ascending row order stack bit for bit into the whole
     matrix: an entry depends only on its own source and destination rows
@@ -124,9 +122,9 @@ def _similarity_rows(src: np.ndarray, dst: np.ndarray, metric: str,
             sims = pairwise_sq_dists(src[lo:hi], dst, scale)
             np.sqrt(sims, out=sims)
             return np.negative(sims, out=sims)
-        return rows, 0
+        return rows
     if metric == "dot":
-        return (lambda lo, hi: src[lo:hi] @ dst.T), 0
+        return lambda lo, hi: src[lo:hi] @ dst.T
     if metric == "cosine":
         src_n = np.linalg.norm(src, axis=1)
         dst_n = np.linalg.norm(dst, axis=1)
@@ -140,24 +138,22 @@ def _similarity_rows(src: np.ndarray, dst: np.ndarray, metric: str,
             sims[src_zero[lo:hi], :] = -np.inf
             sims[:, dst_zero] = -np.inf
             return sims
-        return rows, int(src_zero.sum() + dst_zero.sum())
+        return rows
     if rng is None:
         raise ValueError("the random metric needs an rng")
-    return (lambda lo, hi: rng.random((min(hi, len(src)) - lo, len(dst)))), 0
+    return lambda lo, hi: rng.random((min(hi, len(src)) - lo, len(dst)))
 
 
 def similarity_matrix(src: np.ndarray, dst: np.ndarray, metric: str,
-                      rng: np.random.Generator | None = None
-                      ) -> tuple[np.ndarray, int]:
-    """(n_src, n_dst) similarity values plus a zero-norm diagnostic count.
+                      rng: np.random.Generator | None = None) -> np.ndarray:
+    """(n_src, n_dst) similarity values.
 
     neg_euclidean is the negative L2 distance (not squared), so a source
     coinciding with a destination scores exactly 0, the metric's maximum.
     cosine maps any pair involving a zero-norm row to -inf rather than NaN.
     `random` ignores the tokens and draws i.i.d. uniforms from `rng`.
     """
-    rows, zero_norm = _similarity_rows(src, dst, metric, rng)
-    return rows(0, len(src)), zero_norm
+    return _similarity_rows(src, dst, metric, rng)(0, len(src))
 
 
 def pairwise_best_match(tokens: np.ndarray, part: Partition, metric: str = DEFAULT_METRIC,
@@ -172,8 +168,8 @@ def pairwise_best_match(tokens: np.ndarray, part: Partition, metric: str = DEFAU
             f"token count {tokens.shape[0]} does not match partition over {part.n_tokens}")
     if part.n_dst == 0:
         raise ValueError("partition has no destinations; use a smaller stride")
-    rows, zero_norm = _similarity_rows(
-        tokens[part.src_indices], tokens[part.dst_indices], metric, rng)
+    rows = _similarity_rows(tokens[part.src_indices], tokens[part.dst_indices],
+                            metric, rng)
     chunk = max(1, _MATCH_CHUNK_ELEMS // part.n_dst)
     best_dst = np.empty(part.n_src, dtype=np.intp)
     best_sim = np.empty(part.n_src)
@@ -186,9 +182,7 @@ def pairwise_best_match(tokens: np.ndarray, part: Partition, metric: str = DEFAU
         best_sim[lo:lo + chunk] = sims[np.arange(len(best)), best]
     reduce_order = np.argsort(-best_sim, kind="stable")
     return MatchResult(best_dst=best_dst, best_sim=best_sim,
-                       reduce_order=reduce_order,
-                       num_evals=num_evals,
-                       zero_norm_rows=zero_norm)
+                       reduce_order=reduce_order, num_evals=num_evals)
 
 
 def standardize_profile(raw) -> np.ndarray:

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import flops
-from .core import (Matrix, TokenGrid, apply_rope_tables, checksum_matrix,
-                   rope3d_tables, spawn_rngs)
+from .core import (Matrix, apply_rope_tables, checksum_matrix, rope3d_tables,
+                   spawn_rngs)
 from .errors import (ConfigError, InvariantError, config_bool, config_int,
                      config_int_triple, config_real)
 from .matching import DEFAULT_METRIC, partition_3d, pairwise_best_match
@@ -45,6 +45,10 @@ RNR_MODES = ("none", "sym", "asym")
 #: residual blend factor of the denoising recurrence; any contraction works,
 #: 0.1 keeps the state bounded so similarity statistics settle
 BLEND = 0.1
+
+#: largest token matrix (n_tokens x feature_dim) a config may ask for: 2^28
+#: float64 entries are 2 GiB, and a run holds several arrays of that size
+MAX_TOKEN_ENTRIES = 1 << 28
 
 
 @dataclass
@@ -63,12 +67,18 @@ class PipelineConfig:
     duplicate_fraction: float = 0.0
     collect_norms: bool = False
 
+    # every check that needs the config alone; a run checks only the profile
     def __post_init__(self):
         self.grid_shape = config_int_triple("grid_shape", self.grid_shape)
         for name in ("feature_dim", "num_blocks", "num_heads", "num_timesteps", "seed"):
             setattr(self, name, config_int(name, getattr(self, name)))
         if min(self.feature_dim, self.num_blocks, self.num_heads, self.num_timesteps) < 1:
             raise ConfigError("all size fields must be >= 1")
+        if self.n_tokens * self.feature_dim > MAX_TOKEN_ENTRIES:
+            raise ConfigError(
+                f"grid_shape {self.grid_shape} with feature_dim {self.feature_dim} "
+                f"asks for {self.n_tokens * self.feature_dim} token entries; at "
+                f"most {MAX_TOKEN_ENTRIES} (2^28) are allowed")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("profiling", "rope", "collect_norms"):
@@ -76,17 +86,52 @@ class PipelineConfig:
         if self.feature_dim % self.num_heads != 0:
             raise ConfigError(
                 f"feature_dim {self.feature_dim} not divisible by num_heads {self.num_heads}")
+        if self.rope and (self.feature_dim % 2 != 0 or self.feature_dim < 6):
+            raise ConfigError("rotary embedding needs an even feature_dim >= 6")
         if self.rnr_mode not in RNR_MODES:
             raise ConfigError(f"rnr_mode must be one of {RNR_MODES}, got {self.rnr_mode!r}")
         if self.reduce_op not in REDUCE_OPS:
             raise ConfigError(f"reduce_op must be one of {REDUCE_OPS}")
         if not 0.0 <= config_real("duplicate_fraction", self.duplicate_fraction) < 1.0:
             raise ConfigError("duplicate_fraction must lie in [0, 1)")
+        if ((self.scheduled or self.profiling)
+                and any(g < s for g, s in zip(self.grid_shape, self.stride))):
+            raise ConfigError(
+                f"stride {self.stride} leaves no complete chunk in grid_shape "
+                f"{self.grid_shape}, so matching has no destinations; use a "
+                "smaller stride")
+        if self.sym:
+            if "V" in self.schedule.rules:
+                warnings.warn("symmetric mode reduces the shared input; the V entry "
+                              "is ignored (the Q entry drives the reduction)",
+                              stacklevel=3)
+            for flag in ("profiling", "collect_norms"):
+                if getattr(self, flag):
+                    raise ConfigError(f"{flag} needs the full feature set; run it "
+                                      "with reduction off or in asymmetric mode")
 
     @property
     def n_tokens(self) -> int:
         t, h, w = self.grid_shape
         return t * h * w
+
+    @property
+    def stride(self) -> tuple[int, int, int]:
+        return self.schedule.stride if self.schedule else (2, 2, 2)
+
+    @property
+    def metric(self) -> str:
+        return self.schedule.metric if self.schedule else DEFAULT_METRIC
+
+    @property
+    def scheduled(self) -> bool:
+        """Whether the run reduces: a mode and a schedule with a rule."""
+        return (self.rnr_mode != "none" and self.schedule is not None
+                and not self.schedule.is_identity)
+
+    @property
+    def sym(self) -> bool:
+        return self.scheduled and self.rnr_mode == "sym"
 
     def to_json(self) -> str:
         payload = {
@@ -117,15 +162,13 @@ class PipelineConfig:
         if not isinstance(payload, dict):
             raise ConfigError("config JSON must be an object")
         payload.pop("schema_version", None)
-        schedule = payload.pop("schedule", None)
         known = {f.name for f in PipelineConfig.__dataclass_fields__.values()}  # type: ignore[attr-defined]
         unknown = set(payload) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        cfg = PipelineConfig(**payload)
-        if schedule is not None:
-            cfg.schedule = ScheduleConfig.from_json(json.dumps(schedule))
-        return cfg
+        if payload.get("schedule") is not None:
+            payload["schedule"] = ScheduleConfig.from_json(json.dumps(payload["schedule"]))
+        return PipelineConfig(**payload)
 
     @staticmethod
     def from_file(path) -> "PipelineConfig":
@@ -187,27 +230,38 @@ class RunReport:
         return json.dumps(payload, indent=2)
 
 
-def inject_duplicates(grid: TokenGrid, fraction: float,
-                      rng: np.random.Generator) -> TokenGrid:
-    """Overwrite a fraction of tokens with copies of surviving other tokens.
+def inject_duplicates(tokens: Matrix, fraction: float,
+                      rng: np.random.Generator) -> Matrix:
+    """Overwrite a fraction of token rows with copies of surviving other rows.
 
-    Copy sources are drawn from the non-overwritten tokens only, so each
-    overwritten token is guaranteed an exact duplicate in the result.
+    Copy sources are drawn from the non-overwritten rows only, so each
+    overwritten row is guaranteed an exact duplicate in the result. The
+    input is not modified.
     """
     if not (0.0 <= fraction < 1.0):
         raise ConfigError(f"fraction must lie in [0, 1), got {fraction}")
-    n = grid.n_tokens
+    n = tokens.shape[0]
     k = int(fraction * n)
     if k == 0:
-        return grid
+        return tokens
     targets = rng.choice(n, size=k, replace=False)
     mask = np.ones(n, dtype=bool)
     mask[targets] = False
     survivors = np.nonzero(mask)[0]
     sources = survivors[rng.integers(0, len(survivors), size=k)]
-    tokens = grid.tokens.copy()
+    tokens = tokens.copy()
     tokens[targets] = tokens[sources]
-    return TokenGrid(grid.t_dim, grid.h_dim, grid.w_dim, tokens)
+    return tokens
+
+
+def seeded_inputs(cfg: PipelineConfig):
+    """The run's initial tokens and its weight, partition and random-matching
+    streams, all drawn from cfg.seed in one fixed order."""
+    rng_init, rng_weights, rng_parts, rng_dup, rng_match = spawn_rngs(cfg.seed, 5)
+    x = rng_init.standard_normal((cfg.n_tokens, cfg.feature_dim))
+    if cfg.duplicate_fraction > 0.0:
+        x = inject_duplicates(x, cfg.duplicate_fraction, rng_dup)
+    return x, rng_weights, rng_parts, rng_match
 
 
 def row_norm_percentiles(mat: Matrix) -> dict:
@@ -297,36 +351,25 @@ def _profile_stats(match) -> tuple[float, float, float]:
             float(np.percentile(sims, 90)))
 
 
+def unreduced_profile(cfg: PipelineConfig) -> SimilarityProfile:
+    """The similarity profile of cfg's run with reduction off: the profile a
+    scheduled run of cfg thresholds against."""
+    pre = replace(cfg, profiling=True, rnr_mode="none", collect_norms=False)
+    return run_pipeline(pre).profile
+
+
 def run_pipeline(cfg: PipelineConfig,
                  profile: SimilarityProfile | None = None) -> RunReport:
     """Run the denoising loop and return deterministic accounting.
 
     A scheduled run needs a similarity profile to threshold against. If none
-    is supplied, a profiling pre-pass with the same configuration (reduction
-    off) records one first; its cost is not part of the reported wall time.
+    is supplied, `unreduced_profile` records one first; its cost is not part
+    of the reported wall time.
     """
-    schedule = cfg.schedule
-    stride = schedule.stride if schedule else (2, 2, 2)
-    metric = schedule.metric if schedule else DEFAULT_METRIC
-    scheduled = (cfg.rnr_mode != "none" and schedule is not None
-                 and not schedule.is_identity)
-    if cfg.rope:
-        if cfg.feature_dim % 2 != 0 or cfg.feature_dim < 6:
-            raise ConfigError("rotary embedding needs an even feature_dim >= 6")
-    sym = scheduled and cfg.rnr_mode == "sym"
-    if sym and "V" in schedule.rules:
-        warnings.warn("symmetric mode reduces the shared input; the V entry "
-                      "is ignored (the Q entry drives the reduction)")
-    for flag in ("profiling", "collect_norms"):
-        if sym and getattr(cfg, flag):
-            raise ConfigError(f"{flag} needs the full feature set; run it with "
-                              "reduction off or in asymmetric mode")
-
-    if scheduled and profile is None:
-        pre = replace(cfg, profiling=True, rnr_mode="none", collect_norms=False)
-        profile = run_pipeline(pre).profile
-    if scheduled:
-        assert profile is not None
+    schedule, stride, metric, sym = cfg.schedule, cfg.stride, cfg.metric, cfg.sym
+    if cfg.scheduled:
+        if profile is None:
+            profile = unreduced_profile(cfg)
         if (profile.num_timesteps != cfg.num_timesteps
                 or profile.num_blocks != cfg.num_blocks):
             raise ConfigError(
@@ -345,12 +388,7 @@ def run_pipeline(cfg: PipelineConfig,
 
     n = cfg.n_tokens
     d = cfg.feature_dim
-    rng_init, rng_weights, rng_parts, rng_dup, rng_match = spawn_rngs(cfg.seed, 5)
-
-    grid = TokenGrid.random(cfg.grid_shape, d, rng_init)
-    if cfg.duplicate_fraction > 0.0:
-        grid = inject_duplicates(grid, cfg.duplicate_fraction, rng_dup)
-    x = grid.tokens.copy()
+    x, rng_weights, rng_parts, rng_match = seeded_inputs(cfg)
 
     weights = [(rng_weights.standard_normal((d, d)) / np.sqrt(d),
                 rng_weights.standard_normal((d, d)) / np.sqrt(d),
@@ -360,7 +398,7 @@ def run_pipeline(cfg: PipelineConfig,
 
     # one partition per block, drawn once: cached match results index it
     parts = None
-    if scheduled or cfg.profiling:
+    if cfg.scheduled or cfg.profiling:
         parts = [partition_3d(cfg.grid_shape, stride, rng_parts)
                  for _ in range(cfg.num_blocks)]
 
@@ -413,7 +451,7 @@ def run_pipeline(cfg: PipelineConfig,
                                              **row_norm_percentiles(mat)})
 
                 plans = {"Q": None, "V": None}
-                if scheduled:
+                if cfg.scheduled:
                     for feature in [f for f in plans if f in schedule.rules]:
                         rate = lookup_rate(schedule, profile, feature, t, b)
                         rates[feature] = rate

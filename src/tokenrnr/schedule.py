@@ -245,7 +245,7 @@ def record_profile(raw_entries, *, num_timesteps: int, num_blocks: int,
 
     Standardization runs per feature across all (t, b) points. A feature with
     a single lattice point, like a degenerate one-step one-block run, carries
-    no contrast and maps to 0.5, matching the constant-profile rule.
+    no contrast and maps to 0.5, as a constant one does.
     """
     entries = list(raw_entries)
     if not entries:
@@ -259,11 +259,8 @@ def record_profile(raw_entries, *, num_timesteps: int, num_blocks: int,
     for feature, rows in by_feature.items():
         if not rows:
             raise ConfigError(f"no entries recorded for feature {feature!r}")
-        raws = np.array([r[2] for r in rows])
-        if len(raws) == 1 or np.all(raws == raws[0]):
-            stds = np.full(len(raws), 0.5)
-        else:
-            stds = standardize_profile(raws)
+        raws = [r[2] for r in rows]
+        stds = standardize_profile(raws) if len(raws) > 1 else [0.5]
         for (t, b, raw, p10, p90), std in zip(rows, stds):
             records.append(ProfileRecord(feature=feature, t=t, b=b, sim_raw=raw,
                                          sim_std=float(std), sim_p10=p10, sim_p90=p90))
@@ -292,12 +289,11 @@ class MatchingCache:
 
     An entry computed at step t0 serves any later step t with
     cache_step * floor(t / cache_step) == t0, mirroring the cadence of the
-    sampling loop. Recompute counts are tracked per (feature, block).
+    sampling loop.
     """
 
     cache_step: int
     _store: dict = field(default_factory=dict)
-    recompute_counts: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.cache_step < 1:
@@ -319,7 +315,6 @@ def cached_match(cache: MatchingCache, feature: str, block: int, t: int,
     if t % s == 0 or entry is None or entry[1] != window:
         result = pairwise_best_match(tokens, part, metric, rng)
         cache._store[key] = (result, t)
-        cache.recompute_counts[key] = cache.recompute_counts.get(key, 0) + 1
         return result, True
     return entry[0], False
 

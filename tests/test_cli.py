@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
@@ -76,6 +77,10 @@ class TestProfileCommand:
         ("threshold", {"schedule": {"Q": {"NaN": 0.3}}}),
         ("threshold", {"schedule": {"Q": {"inf": 0.3}}}),
         ("rate", {"schedule": {"Q": {"0.5": "0.3"}}}),
+        ("grid_shape", {"grid_shape": [1e300, 1, 1]}),
+        # the default stride (2, 2, 2) leaves no complete chunk to match in
+        ("stride", {"grid_shape": [1, 8, 8]}),
+        ("stride", {"grid_shape": [2, 1, 8]}),
     ])
     def test_bad_field_value_exits_2(self, tmp_path, capsys, field, payload):
         bad = tmp_path / "bad.json"
@@ -92,12 +97,26 @@ class TestProfileCommand:
         from tokenrnr.errors import InvariantError
         import tokenrnr.cli as cli_mod
 
-        def boom(cfg, profile=None):
+        def boom(cfg):
             raise InvariantError("synthetic violation")
 
-        monkeypatch.setattr(cli_mod, "run_pipeline", boom)
+        monkeypatch.setattr(cli_mod, "unreduced_profile", boom)
         assert main(["profile", "--config", cfg_path,
                      "--out", str(tmp_path / "x.json")]) == 3
+
+
+    def test_profile_runs_with_reduction_off(self, tmp_path, schedule_path):
+        # an asymmetric scheduled config records the same profile as the
+        # pre-run of its scheduled run, not a profile of the reduced run
+        cfg = tmp_path / "asym.json"
+        cfg.write_text(json.dumps({**SMALL_CFG, "rnr_mode": "asym"}))
+        out = tmp_path / "p.json"
+        assert main(["profile", "--config", str(cfg), "--schedule", schedule_path,
+                     "--out", str(out)]) == 0
+        plain = tmp_path / "plain.json"
+        assert main(["profile", "--config", str(cfg), "--schedule", schedule_path,
+                     "--mode", "none", "--out", str(plain)]) == 0
+        assert out.read_bytes() == plain.read_bytes()
 
 
 class TestBenchCommand:
@@ -123,6 +142,36 @@ class TestBenchCommand:
         assert int(sched["total_macs"]) < int(base["total_macs"])
         assert sched["schedule_hash"] != "-"
         assert float(sched["max_row_deviation"]) > 0
+
+    def test_config_schedule_is_benchmarked(self, tmp_path):
+        # no --schedule flag: the schedule embedded in the config applies
+        cfg = tmp_path / "sched_cfg.json"
+        cfg.write_text(json.dumps({
+            **SMALL_CFG, "rnr_mode": "asym",
+            "schedule": {"Q": {"0.0": 0.5}, "V": {"0.0": 0.5}}}))
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--config", str(cfg), "--out", str(out),
+                     "--repeat", "1", "--warmup", "0"]) == 0
+        base, sched = read_csv(out)
+        assert int(sched["total_macs"]) < int(base["total_macs"])
+        assert sched["checksum"] != base["checksum"]
+        assert sched["schedule_hash"] != "-"
+
+    def test_config_mode_is_benchmarked(self, tmp_path):
+        sched_path = tmp_path / "q.json"
+        sched_path.write_text(json.dumps({"Q": {"0.0": 0.5}}))
+        macs = {}
+        for mode in ("sym", "asym"):
+            cfg = tmp_path / f"{mode}.json"
+            cfg.write_text(json.dumps({**SMALL_CFG, "rnr_mode": mode}))
+            out = tmp_path / f"{mode}.csv"
+            assert main(["bench", "--config", str(cfg), "--schedule", str(sched_path),
+                         "--out", str(out), "--repeat", "1", "--warmup", "0"]) == 0
+            _, sched = read_csv(out)
+            assert sched["rnr_mode"] == mode
+            macs[mode] = int(sched["total_macs"])
+        # symmetric mode also shortens K, V and the projections
+        assert macs["sym"] < macs["asym"]
 
     def test_supplied_profile_is_used(self, cfg_path, schedule_path, tmp_path):
         prof_path = tmp_path / "prof.json"
@@ -250,6 +299,34 @@ class TestAblateCommand:
         assert main(["ablate", "--dimension", "reduce_op", "--config", str(cfg),
                      "--out", str(out2)]) == 0
         assert [r["value"] for r in read_csv(out2)] == ["discard", "mean"]
+
+    def test_stride_sweep_on_short_grid_exits_2(self, tmp_path, capsys):
+        # strides 3x2x2 and 4x2x2 leave no complete chunk on 2 frames
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "grid_shape": [2, 8, 8], "feature_dim": 8, "num_blocks": 1,
+            "num_heads": 1, "num_timesteps": 1, "seed": 1}))
+        assert main(["ablate", "--dimension", "stride", "--config", str(cfg),
+                     "--out", str(tmp_path / "s.csv")]) == 2
+        assert "no complete chunk" in capsys.readouterr().err
+
+    def test_wall_ms_excludes_the_profile_pre_run(self, tmp_path, monkeypatch):
+        import tokenrnr.cli as cli_mod
+        real = cli_mod.unreduced_profile
+
+        def slow_profile(cfg):
+            time.sleep(0.5)
+            return real(cfg)
+
+        monkeypatch.setattr(cli_mod, "unreduced_profile", slow_profile)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "grid_shape": [2, 4, 4], "feature_dim": 8, "num_blocks": 1,
+            "num_heads": 1, "num_timesteps": 2, "seed": 2}))
+        out = tmp_path / "feat.csv"
+        assert main(["ablate", "--dimension", "feature", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        assert all(float(r["wall_ms"]) < 500.0 for r in read_csv(out))
 
     def test_unknown_dimension_exits_2(self, cfg_path, tmp_path):
         with pytest.raises(SystemExit) as err:

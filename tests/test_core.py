@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokenrnr.core import (TokenGrid, apply_rope_tables, checksum_matrix,
+from tokenrnr.core import (apply_rope_tables, checksum_matrix,
                            grid_coordinates, make_rng, pairwise_sq_dists,
                            rope3d_tables, row_softmax, spawn_rngs,
                            sq_dist_refine_scale)
@@ -146,10 +146,6 @@ class TestGridAndValidation:
         coords = grid_coordinates((2, 3, 4))
         for i, (t, h, w) in enumerate(coords):
             assert (t * 3 + h) * 4 + w == i
-
-    def test_row_count_validation(self):
-        with pytest.raises(ValueError, match="rows"):
-            TokenGrid(2, 2, 2, np.ones((7, 3)))
 
     def test_checksum_sensitivity(self):
         a = np.ones((3, 3))

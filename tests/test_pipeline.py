@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tokenrnr import schedule as schedule_mod
-from tokenrnr.core import TokenGrid, make_rng
+from tokenrnr.core import make_rng
 from tokenrnr.errors import ConfigError, InvariantError
 from tokenrnr.pipeline import (PipelineConfig, inject_duplicates,
                                row_norm_percentiles, run_pipeline)
@@ -187,16 +187,17 @@ class TestProfiling:
 
 class TestInjectDuplicates:
     def test_zero_fraction_is_identity(self):
-        grid = TokenGrid.random((2, 3, 3), 4, make_rng(0))
-        out = inject_duplicates(grid, 0.0, make_rng(1))
-        assert np.array_equal(out.tokens, grid.tokens)
+        tokens = make_rng(0).standard_normal((18, 4))
+        out = inject_duplicates(tokens, 0.0, make_rng(1))
+        assert np.array_equal(out, tokens)
 
     def test_half_fraction_produces_duplicates(self):
-        grid = TokenGrid.random((4, 5, 5), 4, make_rng(2))
-        out = inject_duplicates(grid, 0.5, make_rng(3))
-        n = grid.n_tokens
-        assert n == 100
-        rounded = [tuple(row) for row in out.tokens]
+        tokens = make_rng(2).standard_normal((100, 4))
+        before = tokens.copy()
+        out = inject_duplicates(tokens, 0.5, make_rng(3))
+        assert out.shape == (100, 4)
+        assert np.array_equal(tokens, before)  # the input is left as it was
+        rounded = [tuple(row) for row in out]
         from collections import Counter
         counts = Counter(rounded)
         duplicated = sum(c for c in counts.values() if c > 1)
@@ -241,6 +242,32 @@ class TestConfigHandling:
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError, match="rnr_mode"):
             small_cfg(rnr_mode="fast")
+
+    def test_token_entries_are_bounded(self):
+        # construction allocates nothing, so the bound is checked cheaply
+        at_bound = dict(grid_shape=(1 << 16, 8, 8), feature_dim=64, num_heads=1)
+        PipelineConfig(**at_bound)
+        with pytest.raises(ConfigError, match="token entries"):
+            PipelineConfig(**{**at_bound, "feature_dim": 66})
+        with pytest.raises(ConfigError, match="token entries"):
+            PipelineConfig(grid_shape=(10**300, 1, 1))
+
+    def test_stride_needs_a_complete_chunk_when_matching_runs(self):
+        flat = dict(grid_shape=(1, 8, 8), feature_dim=8, num_heads=1)
+        PipelineConfig(**flat)  # nothing is matched: accepted
+        PipelineConfig(**flat, rnr_mode="asym",
+                       schedule=aggressive_schedule(stride=(1, 2, 2)))
+        with pytest.raises(ConfigError, match="no complete chunk"):
+            PipelineConfig(**flat, profiling=True)
+        with pytest.raises(ConfigError, match="no complete chunk"):
+            PipelineConfig(**flat, rnr_mode="asym", schedule=aggressive_schedule())
+
+    def test_from_json_checks_the_embedded_schedule(self):
+        sched = ScheduleConfig(rules={"Q": [(0.0, 0.5)]})
+        payload = json.loads(small_cfg(rnr_mode="sym", schedule=sched).to_json())
+        payload["profiling"] = True
+        with pytest.raises(ConfigError, match="profiling needs the full feature set"):
+            PipelineConfig.from_json(json.dumps(payload))
 
     def test_rope_needs_even_width(self):
         with pytest.raises(ConfigError, match="rotary"):

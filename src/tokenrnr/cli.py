@@ -2,7 +2,8 @@
 checks, and norm statistics. Everything emits CSV or JSON for external
 plotting; nothing is rendered in-process.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime invariant violation.
+Exit codes: 0 success, 2 configuration error or unreadable/unwritable file,
+3 runtime invariant violation.
 """
 from __future__ import annotations
 
@@ -38,28 +39,15 @@ ABLATE_DIMENSIONS = ("metric", "reduce_op", "cache_step", "stride", "feature")
 def _load_config(args) -> PipelineConfig:
     """The --config file (else the defaults), with --seed, --mode and
     --schedule overriding its fields where given."""
-    if args.config:
-        try:
-            cfg = PipelineConfig.from_file(args.config)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    else:
-        cfg = PipelineConfig()
+    cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
     overrides = {}
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
     if getattr(args, "mode", None) is not None:
         overrides["rnr_mode"] = args.mode
     if getattr(args, "schedule", None):
-        overrides["schedule"] = _load_schedule(args.schedule)
+        overrides["schedule"] = ScheduleConfig.from_file(args.schedule)
     return replace(cfg, **overrides)
-
-
-def _load_schedule(path) -> ScheduleConfig:
-    try:
-        return ScheduleConfig.from_file(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read schedule {path}: {exc}") from exc
 
 
 def _config_id(cfg: PipelineConfig) -> str:
@@ -366,6 +354,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -28,8 +28,6 @@ class Partition:
 
     dst_indices: np.ndarray
     src_indices: np.ndarray
-    stride: tuple[int, int, int]
-    grid_shape: tuple[int, int, int]
 
     @property
     def n_tokens(self) -> int:
@@ -95,8 +93,7 @@ def partition_3d(grid_shape: tuple[int, int, int], stride: tuple[int, int, int],
     mask = np.ones(t_dim * h_dim * w_dim, dtype=bool)
     mask[dst] = False
     src = np.nonzero(mask)[0]
-    return Partition(dst_indices=dst, src_indices=src,
-                     stride=(s_t, s_h, s_w), grid_shape=(t_dim, h_dim, w_dim))
+    return Partition(dst_indices=dst, src_indices=src)
 
 
 #: cap on similarity entries held at once while matching

@@ -40,14 +40,17 @@ from .schedule import (MatchingCache, PROFILE_FEATURES, ScheduleConfig,
                        SimilarityProfile, cached_match, lookup_rate,
                        record_profile)
 
-RNR_MODES = ("none", "sym", "asym")
+#: per mode, the (matched feature, schedule rule) pairs a block reduces by;
+#: a symmetric run matches the shared input H and thresholds it by the Q rule
+REDUCTION_PAIRS = {"none": (), "sym": (("H", "Q"),), "asym": (("Q", "Q"), ("V", "V"))}
+RNR_MODES = tuple(REDUCTION_PAIRS)
 
 #: residual blend factor of the denoising recurrence; any contraction works,
 #: 0.1 keeps the state bounded so similarity statistics settle
 BLEND = 0.1
 
-#: largest token matrix (n_tokens x feature_dim) a config may ask for: 2^28
-#: float64 entries are 2 GiB, and a run holds several arrays of that size
+#: most entries a config may ask for in its token matrix (n_tokens x feature_dim)
+#: or its weights (3 x num_blocks x feature_dim^2): 2^28 float64 are 2 GiB
 MAX_TOKEN_ENTRIES = 1 << 28
 
 
@@ -74,11 +77,13 @@ class PipelineConfig:
             setattr(self, name, config_int(name, getattr(self, name)))
         if min(self.feature_dim, self.num_blocks, self.num_heads, self.num_timesteps) < 1:
             raise ConfigError("all size fields must be >= 1")
-        if self.n_tokens * self.feature_dim > MAX_TOKEN_ENTRIES:
-            raise ConfigError(
-                f"grid_shape {self.grid_shape} with feature_dim {self.feature_dim} "
-                f"asks for {self.n_tokens * self.feature_dim} token entries; at "
-                f"most {MAX_TOKEN_ENTRIES} (2^28) are allowed")
+        for what, entries in (("token", self.n_tokens * self.feature_dim),
+                              ("weight", 3 * self.num_blocks * self.feature_dim ** 2)):
+            if entries > MAX_TOKEN_ENTRIES:
+                raise ConfigError(
+                    f"grid_shape {self.grid_shape}, feature_dim {self.feature_dim} and "
+                    f"num_blocks {self.num_blocks} ask for {entries} {what} entries; "
+                    f"at most {MAX_TOKEN_ENTRIES} (2^28) are allowed")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("profiling", "rope", "collect_norms"):
@@ -100,11 +105,12 @@ class PipelineConfig:
                 f"stride {self.stride} leaves no complete chunk in grid_shape "
                 f"{self.grid_shape}, so matching has no destinations; use a "
                 "smaller stride")
+        if (self.rnr_mode == "sym" and self.schedule is not None
+                and "V" in self.schedule.rules):
+            warnings.warn("symmetric mode reduces the shared input; the V entry "
+                          "is ignored (the Q entry drives the reduction)",
+                          stacklevel=3)
         if self.sym:
-            if "V" in self.schedule.rules:
-                warnings.warn("symmetric mode reduces the shared input; the V entry "
-                              "is ignored (the Q entry drives the reduction)",
-                              stacklevel=3)
             for flag in ("profiling", "collect_norms"):
                 if getattr(self, flag):
                     raise ConfigError(f"{flag} needs the full feature set; run it "
@@ -124,10 +130,16 @@ class PipelineConfig:
         return self.schedule.metric if self.schedule else DEFAULT_METRIC
 
     @property
+    def reductions(self) -> tuple[tuple[str, str], ...]:
+        """The mode's (matched feature, schedule rule) pairs whose rule has an
+        entry; a rule with no entries never reduces, so nothing is matched."""
+        rules = self.schedule.rules if self.schedule else {}
+        return tuple(p for p in REDUCTION_PAIRS[self.rnr_mode] if rules.get(p[1]))
+
+    @property
     def scheduled(self) -> bool:
-        """Whether the run reduces: a mode and a schedule with a rule."""
-        return (self.rnr_mode != "none" and self.schedule is not None
-                and not self.schedule.is_identity)
+        """Whether the run reduces anything."""
+        return bool(self.reductions)
 
     @property
     def sym(self) -> bool:
@@ -381,8 +393,7 @@ def run_pipeline(cfg: PipelineConfig,
             raise ConfigError(
                 f"profile was recorded with metric {profile.metric!r} and stride "
                 f"{profile.stride}; the schedule uses {metric!r} and {stride}")
-        needed = {"H"} if sym else set(schedule.rules)
-        missing = needed - set(profile.features)
+        missing = {rule for _, rule in cfg.reductions} - set(profile.features)
         if missing:
             raise ConfigError(f"profile lacks features {sorted(missing)}")
 
@@ -408,14 +419,6 @@ def run_pipeline(cfg: PipelineConfig,
     norm_records: list[dict] = []
     profile_entries: list[tuple] = []
 
-    # reads the current block's `part` and `recomputed` at call time
-    def match_cached(feature, toks, t, b):
-        match, fresh = cached_match(cache, feature, b, t, toks, part, metric, rng_match)
-        if fresh:
-            recomputed.append(feature)
-            measured.add(_matching_cost(match, d, metric))
-        return match
-
     loop_start = time.perf_counter()
     for t in range(cfg.num_timesteps):
         y = x
@@ -423,58 +426,58 @@ def run_pipeline(cfg: PipelineConfig,
             t0 = time.perf_counter()
             macs_before = measured.total
             part = parts[b] if parts else None
-            rates: dict = {}
-            recomputed: list[str] = []
 
-            if sym:
-                rate = lookup_rate(schedule, profile, "Q", t, b) \
-                    if "Q" in schedule.rules else 0.0
-                rates["H"] = rate
-                match = match_cached("H", y, t, b)
-                plan = build_plan(match, part, rate) if rate > 0.0 else None
-                m_q = m_kv = plan.m if plan else n
-                out = attn_sym_rnr(y, weights[b], plan, cfg.reduce_op,
-                                   rope_tabs, cfg.num_heads, measured)
-            else:
+            # rebound before projecting, so the last block's Q, K, V are freed
+            feats = {"H": y}
+            if not sym:
                 q, k, v = _project(y, weights[b], measured)
                 q, k = _rotate(q, rope_tabs), _rotate(k, rope_tabs)
+                feats.update(Q=q, K=k, V=v)
 
-                if cfg.profiling:
-                    for feature, toks in (("H", y), ("Q", q), ("K", k), ("V", v)):
-                        match = pairwise_best_match(toks, part, metric, rng_match)
-                        measured.add(_matching_cost(match, d, metric))
-                        profile_entries.append((feature, t, b, *_profile_stats(match)))
+            if cfg.profiling:
+                for feature, toks in feats.items():
+                    match = pairwise_best_match(toks, part, metric, rng_match)
+                    measured.add(_matching_cost(match, d, metric))
+                    profile_entries.append((feature, t, b, *_profile_stats(match)))
 
-                if cfg.collect_norms:
-                    for feature, mat in (("H", y), ("V", v)):
-                        norm_records.append({"feature": feature, "t": t, "b": b,
-                                             **row_norm_percentiles(mat)})
+            if cfg.collect_norms:
+                for feature in ("H", "V"):
+                    norm_records.append({"feature": feature, "t": t, "b": b,
+                                         **row_norm_percentiles(feats[feature])})
 
-                plans = {"Q": None, "V": None}
-                if cfg.scheduled:
-                    for feature in [f for f in plans if f in schedule.rules]:
-                        rate = lookup_rate(schedule, profile, feature, t, b)
-                        rates[feature] = rate
-                        match = match_cached(feature, v if feature == "V" else q, t, b)
-                        if rate > 0.0:
-                            plans[feature] = build_plan(match, part, rate)
-                plan_q, plan_kv = plans["Q"], plans["V"]
-                m_q = plan_q.m if plan_q else n
-                m_kv = plan_kv.m if plan_kv else n
+            rates: dict = {}
+            recomputed: list[str] = []
+            plans: dict = {}
+            for feature, rule in cfg.reductions:
+                rate = rates[feature] = lookup_rate(schedule, profile, rule, t, b)
+                match, fresh = cached_match(cache, feature, b, t, feats[feature],
+                                            part, metric, rng_match)
+                if fresh:
+                    recomputed.append(feature)
+                    measured.add(_matching_cost(match, d, metric))
+                if rate > 0.0:
+                    plans[feature] = build_plan(match, part, rate)
+
+            if sym:
+                plan_q = plan_kv = plans.get("H")
+                out = attn_sym_rnr(y, weights[b], plan_q, cfg.reduce_op,
+                                   rope_tabs, cfg.num_heads, measured)
+            else:
+                plan_q, plan_kv = plans.get("Q"), plans.get("V")
                 out = attn_asym_rnr(q, k, v, plan_q, plan_kv, cfg.reduce_op,
                                     cfg.num_heads, measured)
 
             if out.shape[0] != n:
-                raise InvariantError(
-                    f"block output has {out.shape[0]} rows, expected {n}")
+                raise InvariantError(f"block (t={t}, b={b}) output has "
+                                     f"{out.shape[0]} rows, expected {n}")
             y = y + out
+            if not np.isfinite(y).all():
+                raise InvariantError(f"non-finite state after block (t={t}, b={b})")
             records.append(BlockRecord(
                 t=t, b=b, wall_s=time.perf_counter() - t0, rates=rates,
-                m_q=m_q, m_kv=m_kv, recomputed=tuple(recomputed),
-                macs=measured.total - macs_before))
+                m_q=plan_q.m if plan_q else n, m_kv=plan_kv.m if plan_kv else n,
+                recomputed=tuple(recomputed), macs=measured.total - macs_before))
         x = x - BLEND * y
-        if not np.isfinite(x).all():
-            raise InvariantError(f"non-finite state after step {t}")
     total_wall = time.perf_counter() - loop_start
 
     # every partition of one grid and stride has the same n_src and n_dst
@@ -497,7 +500,7 @@ def run_pipeline(cfg: PipelineConfig,
         run_profile = record_profile(
             profile_entries, num_timesteps=cfg.num_timesteps,
             num_blocks=cfg.num_blocks, grid_shape=cfg.grid_shape,
-            stride=stride, metric=metric, features=PROFILE_FEATURES)
+            stride=stride, metric=metric)
 
     return RunReport(checksum=checksum_matrix(x), records=records,
                      measured=measured, predicted=predicted,

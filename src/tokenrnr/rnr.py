@@ -43,7 +43,6 @@ class ReductionPlan:
     discarded: np.ndarray
     reps: np.ndarray
     original_len: int
-    rate: float
 
     @property
     def m(self) -> int:
@@ -66,7 +65,7 @@ class ReductionPlan:
         return ReductionPlan(kept=np.arange(n, dtype=np.int64),
                              discarded=np.empty(0, dtype=np.int64),
                              reps=np.empty(0, dtype=np.int64),
-                             original_len=n, rate=0.0)
+                             original_len=n)
 
 
 def build_plan(match: MatchResult, part: Partition, rate: float) -> ReductionPlan:
@@ -89,7 +88,7 @@ def build_plan(match: MatchResult, part: Partition, rate: float) -> ReductionPla
     mask[discarded] = False
     kept = np.nonzero(mask)[0]
     return ReductionPlan(kept=kept, discarded=discarded, reps=reps,
-                         original_len=n, rate=rate)
+                         original_len=n)
 
 
 def reduce_tokens(tokens: Matrix, plan: ReductionPlan, op: str = "discard") -> Matrix:

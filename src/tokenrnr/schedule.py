@@ -120,10 +120,6 @@ class ScheduleConfig:
         with open(path, encoding="utf-8") as fh:
             return ScheduleConfig.from_json(fh.read())
 
-    def to_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json() + "\n")
-
     def digest(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:12]
 
@@ -239,8 +235,7 @@ class SimilarityProfile:
 
 
 def record_profile(raw_entries, *, num_timesteps: int, num_blocks: int,
-                   grid_shape, stride, metric: str,
-                   features=PROFILE_FEATURES) -> SimilarityProfile:
+                   grid_shape, stride, metric: str) -> SimilarityProfile:
     """Assemble a profile from raw (feature, t, b, mean, p10, p90) entries.
 
     Standardization runs per feature across all (t, b) points. A feature with
@@ -250,7 +245,7 @@ def record_profile(raw_entries, *, num_timesteps: int, num_blocks: int,
     entries = list(raw_entries)
     if not entries:
         raise ConfigError("cannot build a profile from an empty run")
-    by_feature: dict[str, list] = {f: [] for f in features}
+    by_feature: dict[str, list] = {f: [] for f in PROFILE_FEATURES}
     for feature, t, b, raw, p10, p90 in entries:
         if feature not in by_feature:
             raise ConfigError(f"unexpected feature {feature!r} in profile entries")
@@ -265,7 +260,7 @@ def record_profile(raw_entries, *, num_timesteps: int, num_blocks: int,
             records.append(ProfileRecord(feature=feature, t=t, b=b, sim_raw=raw,
                                          sim_std=float(std), sim_p10=p10, sim_p90=p90))
     return SimilarityProfile(num_timesteps=num_timesteps, num_blocks=num_blocks,
-                             features=tuple(features), grid_shape=tuple(grid_shape),
+                             features=PROFILE_FEATURES, grid_shape=tuple(grid_shape),
                              stride=tuple(stride), metric=metric, records=records)
 
 
@@ -274,8 +269,6 @@ def lookup_rate(cfg: ScheduleConfig, profile: SimilarityProfile,
     """Rate of the largest threshold <= the profiled similarity, else 0."""
     sim = profile.get(feature, t, b)
     rules = cfg.rules.get(feature, [])
-    if not rules:
-        return 0.0
     thresholds = [thr for thr, _ in rules]
     pos = bisect_right(thresholds, sim)
     if pos == 0:

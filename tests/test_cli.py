@@ -81,6 +81,9 @@ class TestProfileCommand:
         # the default stride (2, 2, 2) leaves no complete chunk to match in
         ("stride", {"grid_shape": [1, 8, 8]}),
         ("stride", {"grid_shape": [2, 1, 8]}),
+        # projection weights of 3 x num_blocks x feature_dim^2 entries (8 TiB)
+        ("feature_dim", {"grid_shape": [1, 1, 1], "feature_dim": 1048576,
+                         "num_blocks": 1, "num_heads": 1, "num_timesteps": 1}),
     ])
     def test_bad_field_value_exits_2(self, tmp_path, capsys, field, payload):
         bad = tmp_path / "bad.json"
@@ -187,6 +190,29 @@ class TestBenchCommand:
         assert report["schema_version"] == 1
         assert report["measured"] == report["predicted"]
         assert len(report["records"]) == 4 * 2
+
+    def test_missing_profile_exits_2(self, cfg_path, schedule_path, tmp_path, capsys):
+        rc = main(["bench", "--config", cfg_path, "--schedule", schedule_path,
+                   "--profile", str(tmp_path / "missing.json"),
+                   "--out", str(tmp_path / "b.csv"), "--repeat", "1", "--warmup", "0"])
+        assert rc == 2
+        assert "missing.json" in capsys.readouterr().err
+
+    def test_sym_run_with_h_only_profile_exits_2(self, cfg_path, tmp_path, capsys):
+        # a symmetric run thresholds against the profile's Q similarity
+        prof_path = tmp_path / "prof.json"
+        main(["profile", "--config", cfg_path, "--out", str(prof_path)])
+        payload = json.loads(prof_path.read_text())
+        payload["metadata"]["features"] = ["H"]
+        payload["records"] = [r for r in payload["records"] if r["feature"] == "H"]
+        prof_path.write_text(json.dumps(payload))
+        sched = tmp_path / "q.json"
+        sched.write_text(json.dumps({"Q": {"0.0": 0.5}}))
+        rc = main(["bench", "--config", cfg_path, "--schedule", str(sched),
+                   "--mode", "sym", "--profile", str(prof_path),
+                   "--out", str(tmp_path / "b.csv"), "--repeat", "1", "--warmup", "0"])
+        assert rc == 2
+        assert "profile lacks features ['Q']" in capsys.readouterr().err
 
     def test_lattice_mismatch_exits_2(self, cfg_path, schedule_path, tmp_path):
         other_cfg = tmp_path / "other.json"
@@ -358,6 +384,11 @@ class TestNormstatsCommand:
         assert len(keys) == len(rows)
         assert all(float(r["p5"]) <= float(r["p50"]) <= float(r["p95"])
                    <= float(r["p99"]) for r in rows)
+
+    def test_unwritable_out_exits_2(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "no_such_dir" / "norms.csv"
+        assert main(["normstats", "--config", cfg_path, "--out", str(out)]) == 2
+        assert "no_such_dir" in capsys.readouterr().err
 
     def test_step_filter(self, cfg_path, tmp_path):
         out = tmp_path / "norms.csv"

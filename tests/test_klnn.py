@@ -221,7 +221,7 @@ class TestScoreReduction:
             mask[discard] = False
             return ReductionPlan(kept=np.nonzero(mask)[0],
                                  discarded=np.sort(np.asarray(discard)),
-                                 reps=reps, original_len=n, rate=8 / part.n_src)
+                                 reps=reps, original_len=n)
 
         dup_score = score_reduction(tokens, plan_for(dup_src), k=1)
         uniq_score = score_reduction(tokens, plan_for(uniq_src), k=1)
@@ -263,6 +263,6 @@ class TestScoreReduction:
     def test_m_not_larger_than_k_rejected(self):
         tokens = np.ones((4, 2))
         plan = ReductionPlan(kept=np.array([0]), discarded=np.array([1, 2, 3]),
-                             reps=np.array([0, 0, 0]), original_len=4, rate=0.9)
+                             reps=np.array([0, 0, 0]), original_len=4)
         with pytest.raises(ValueError, match="m="):
             score_reduction(tokens, plan, k=1)

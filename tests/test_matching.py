@@ -127,8 +127,7 @@ class TestBestMatch:
             [0.0, 0.0],    # src, equidistant
             [5.0, 5.0],    # src, far away
         ])
-        part = Partition(dst_indices=np.array([0, 1]), src_indices=np.array([2, 3]),
-                         stride=(1, 1, 2), grid_shape=(1, 1, 4))
+        part = Partition(dst_indices=np.array([0, 1]), src_indices=np.array([2, 3]))
         match = pairwise_best_match(tokens, part, "neg_euclidean")
         assert match.best_dst[0] == 0
 
@@ -139,8 +138,7 @@ class TestBestMatch:
             [2.0, 0.0],   # src 1, identical similarity
             [1.0, 0.0],   # src 2, closer
         ])
-        part = Partition(dst_indices=np.array([0]), src_indices=np.array([1, 2, 3]),
-                         stride=(1, 1, 4), grid_shape=(1, 1, 4))
+        part = Partition(dst_indices=np.array([0]), src_indices=np.array([1, 2, 3]))
         match = pairwise_best_match(tokens, part, "neg_euclidean")
         assert list(match.reduce_order) == [2, 0, 1]
 
@@ -174,8 +172,7 @@ class TestBestMatch:
             [1.0, 1.0],
             [2.0, 2.0],
         ])
-        part = Partition(dst_indices=np.array([0, 1]), src_indices=np.array([2, 3, 4, 5]),
-                         stride=(1, 1, 3), grid_shape=(1, 1, 6))
+        part = Partition(dst_indices=np.array([0, 1]), src_indices=np.array([2, 3, 4, 5]))
         match = pairwise_best_match(tokens, part, "cosine")
         assert np.isfinite(match.best_sim[[0, 2, 3]]).all()
         assert match.best_sim[1] == -np.inf            # zero-norm source
@@ -197,11 +194,9 @@ class TestBestMatch:
         rng = make_rng(12)
         tokens = rng.standard_normal((10, 4))
         fwd = Partition(dst_indices=np.array([1, 4, 7]),
-                        src_indices=np.array([0, 2, 3, 5, 6, 8, 9]),
-                        stride=(1, 1, 3), grid_shape=(1, 1, 10))
+                        src_indices=np.array([0, 2, 3, 5, 6, 8, 9]))
         rev = Partition(dst_indices=np.array([7, 4, 1]),
-                        src_indices=fwd.src_indices,
-                        stride=(1, 1, 3), grid_shape=(1, 1, 10))
+                        src_indices=fwd.src_indices)
         m_fwd = pairwise_best_match(tokens, fwd, "neg_euclidean")
         m_rev = pairwise_best_match(tokens, rev, "neg_euclidean")
         assert np.array_equal(m_fwd.reduce_order, m_rev.reduce_order)

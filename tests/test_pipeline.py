@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tokenrnr import pipeline as pipeline_mod
 from tokenrnr import schedule as schedule_mod
 from tokenrnr.core import make_rng
 from tokenrnr.errors import ConfigError, InvariantError
@@ -147,6 +148,54 @@ class TestScheduledRuns:
         with pytest.raises(InvariantError, match="diverge"):
             run_pipeline(small_cfg(rnr_mode="asym", schedule=aggressive_schedule()))
 
+    def test_non_finite_block_output_names_the_block(self, monkeypatch):
+        real = pipeline_mod.attn_plain
+        calls = []
+
+        def nan_at_t1_b1(*args, **kwargs):
+            out = real(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 4:  # 2 blocks per step: the 4th is (t=1, b=1)
+                out[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(pipeline_mod, "attn_plain", nan_at_t1_b1)
+        with pytest.raises(InvariantError, match=r"block \(t=1, b=1\)"):
+            run_pipeline(small_cfg(rnr_mode="asym", schedule=aggressive_schedule()))
+
+    def test_sym_run_thresholds_the_q_profile(self):
+        # a symmetric run reads the Q entries of the profile, and only those
+        full = run_pipeline(small_cfg(profiling=True)).profile
+
+        def only(feature):
+            return dataclasses.replace(full, features=(feature,), records=[
+                r for r in full.records if r.feature == feature])
+
+        cfg = small_cfg(rnr_mode="sym", schedule=ScheduleConfig(rules={"Q": [(0.3, 0.5)]}))
+        with pytest.raises(ConfigError, match=r"profile lacks features \['Q'\]"):
+            run_pipeline(cfg, profile=only("H"))
+        assert (run_pipeline(cfg, profile=only("Q")).checksum
+                == run_pipeline(cfg, profile=full).checksum)
+
+    def test_sym_v_only_schedule_matches_nothing(self):
+        sched = ScheduleConfig(rules={"V": [(0.0, 0.5)]})
+        with pytest.warns(UserWarning, match="V entry"):
+            report = run_pipeline(small_cfg(rnr_mode="sym", schedule=sched))
+        assert all(rec.rates == {} and rec.recomputed == () for rec in report.records)
+        assert report.measured.matching == 0
+        assert report.checksum == run_pipeline(small_cfg()).checksum
+
+    def test_empty_rule_is_not_matched(self):
+        v_only = run_pipeline(small_cfg(rnr_mode="asym", schedule=ScheduleConfig(
+            rules={"V": [(0.0, 0.5)]})))
+        empty_q = run_pipeline(small_cfg(rnr_mode="asym", schedule=ScheduleConfig(
+            rules={"Q": [], "V": [(0.0, 0.5)]})))
+        for rec in empty_q.records:
+            assert rec.rates == {"V": 0.5}
+            assert rec.recomputed == (("V",) if rec.t == 0 else ())
+        assert empty_q.measured.as_dict() == v_only.measured.as_dict()
+        assert empty_q.checksum == v_only.checksum
+
     def test_mean_reduce_op_runs(self):
         report = run_pipeline(small_cfg(rnr_mode="asym", reduce_op="mean",
                                         schedule=aggressive_schedule()))
@@ -242,6 +291,13 @@ class TestConfigHandling:
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError, match="rnr_mode"):
             small_cfg(rnr_mode="fast")
+
+    def test_weight_entries_are_bounded(self):
+        below = dict(grid_shape=(1, 1, 1), feature_dim=1 << 13, num_blocks=1,
+                     num_heads=1, num_timesteps=1)
+        PipelineConfig(**below)  # 3 x 2^26 entries
+        with pytest.raises(ConfigError, match="weight entries"):
+            PipelineConfig(**{**below, "num_blocks": 2})  # 6 x 2^26 > 2^28
 
     def test_token_entries_are_bounded(self):
         # construction allocates nothing, so the bound is checked cheaply

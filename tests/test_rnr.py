@@ -27,7 +27,7 @@ def toy_match(seed=0, shape=(2, 2, 2), stride=(2, 2, 1), d=4,
 def single_rep_plan(n, discard, rep):
     kept = np.array([i for i in range(n) if i != discard])
     return ReductionPlan(kept=kept, discarded=np.array([discard]),
-                         reps=np.array([rep]), original_len=n, rate=1.0 / n)
+                         reps=np.array([rep]), original_len=n)
 
 
 class TestBuildPlan:
@@ -98,7 +98,7 @@ class TestReduceRestore:
         discarded = np.array([1, 4, 6, 7])
         reps = np.array([0, 3, 3, 8])
         plan = ReductionPlan(kept=kept, discarded=discarded, reps=reps,
-                             original_len=9, rate=0.5)
+                             original_len=9)
         assert np.array_equal(reduce_tokens(tokens, plan, "discard"),
                               gather_rows(tokens, kept))
         expected = mean_merge_rows(tokens, kept, dict(zip(discarded, reps)))
@@ -109,7 +109,7 @@ class TestReduceRestore:
         tokens = rng.standard_normal((7, 3))
         plan = ReductionPlan(kept=np.array([0, 2, 4, 5, 6]),
                              discarded=np.array([1, 3]),
-                             reps=np.array([4, 4]), original_len=7, rate=0.4)
+                             reps=np.array([4, 4]), original_len=7)
         reduced = reduce_tokens(tokens, plan)
         restored = restore_tokens(reduced, plan)
         rep_row = tokens[4]

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import hashlib
 import json
 import math
+import os
 import statistics
 import sys
 import time
@@ -20,15 +22,13 @@ from dataclasses import replace
 import numpy as np
 
 from .core import make_rng
-from .errors import ConfigError, InvariantError
+from .errors import SCHEMA_VERSION, ConfigError, InvariantError
 from .klnn import kl_estimate
 from .matching import METRICS, partition_3d, pairwise_best_match
 from .pipeline import (PipelineConfig, RunReport, run_pipeline, seeded_inputs,
                        unreduced_profile)
 from .rnr import build_plan
 from .schedule import ScheduleConfig, SimilarityProfile
-
-SCHEMA_VERSION = 1
 
 #: stride grid swept by the partition ablation
 STRIDE_GRID = [(1, 2, 2), (2, 2, 2), (3, 2, 2), (4, 2, 2), (2, 3, 3), (2, 4, 4)]
@@ -94,7 +94,7 @@ def cmd_profile(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _load_config(args)
-    schedule = cfg.schedule or ScheduleConfig.identity()
+    schedule = cfg.schedule or ScheduleConfig()
     # a config without reduction is benchmarked in asymmetric mode, unless
     # --mode asks for none
     mode = args.mode or ("asym" if cfg.rnr_mode == "none" else cfg.rnr_mode)
@@ -170,12 +170,12 @@ def cmd_ablate(args) -> int:
     cfg = _load_config(args)
     rate = args.rate
 
-    def point(label, features="V", cache_step=5, stride=(2, 2, 2),
-              metric="neg_euclidean", **fields) -> tuple[str, PipelineConfig]:
+    def point(label, features="V", reduce_op=cfg.reduce_op,
+              **matching) -> tuple[str, PipelineConfig]:
         """An asymmetric run reducing `features` (joined by +) at `rate`."""
         sched = ScheduleConfig(rules={f: [(0.0, rate)] for f in features.split("+")},
-                               cache_step=cache_step, stride=stride, metric=metric)
-        return label, replace(cfg, rnr_mode="asym", schedule=sched, **fields)
+                               **matching)
+        return label, replace(cfg, rnr_mode="asym", schedule=sched, reduce_op=reduce_op)
 
     # every point is built, and so checked, before anything runs
     if args.dimension == "metric":
@@ -278,22 +278,17 @@ def cmd_klcheck(args) -> int:
 def cmd_normstats(args) -> int:
     cfg = _load_config(args)
     cfg = replace(cfg, collect_norms=True, rnr_mode="none", schedule=None)
-    report = run_pipeline(cfg)
     steps = None
     if args.steps:
         try:
             steps = {int(s) for s in args.steps.split(",")}
         except ValueError as exc:
             raise ConfigError(f"--steps must be comma-separated ints: {exc}") from exc
-    rows = []
-    for rec in report.norm_records:
-        if steps is not None and rec["t"] not in steps:
-            continue
-        rows.append([SCHEMA_VERSION, rec["feature"], rec["t"], rec["b"],
-                     f"{rec['p5']:.6f}", f"{rec['p50']:.6f}",
-                     f"{rec['p95']:.6f}", f"{rec['p99']:.6f}"])
-    header = ["schema_version", "feature", "t", "b", "p5", "p50", "p95", "p99"]
-    _write_csv(args.out, header, rows)
+    report = run_pipeline(cfg)
+    rows = [[SCHEMA_VERSION, *(f"{v:.6f}" if isinstance(v, float) else v
+                               for v in rec.values())]
+            for rec in report.norm_records if steps is None or rec["t"] in steps]
+    _write_csv(args.out, ["schema_version", *report.norm_records[0]], rows)
     print(f"wrote {len(rows)} norm rows to {args.out}")
     return 0
 
@@ -347,10 +342,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_writable(path: str) -> None:
+    """Raise an OSError unless `path` names a file in a writable directory."""
+    folder = os.path.dirname(os.path.abspath(path))
+    code = (errno.EISDIR if os.path.isdir(path) else
+            errno.ENOENT if not os.path.isdir(folder) else
+            errno.EACCES if not os.access(folder, os.W_OK) else 0)
+    if code:
+        raise OSError(code, os.strerror(code), path)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # every output is checked before anything runs
+        for path in filter(None, (args.out, getattr(args, "report", None))):
+            _check_writable(path)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -4,8 +4,12 @@ The CLI maps these to exit codes: ConfigError -> 2, InvariantError -> 3.
 The field checks below turn a config value of the wrong type into a
 ConfigError instead of a TypeError or ValueError from deep inside a run.
 """
+import json
 import math
 import numbers
+
+#: the one file-schema version the package writes and reads
+SCHEMA_VERSION = 1
 
 
 class ConfigError(ValueError):
@@ -54,3 +58,24 @@ def config_real(name: str, value) -> float:
             and math.isfinite(value)):
         raise ConfigError(f"{name} must be a finite real number, got {value!r}")
     return float(value)
+
+
+def json_object(text: str, what: str) -> dict:
+    """`schema_fields` of the JSON in `text`, the file that holds `what`."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+    return schema_fields(payload, what)
+
+
+def schema_fields(payload, what: str) -> dict:
+    """A copy of the JSON object `payload` without its schema_version, which
+    must be SCHEMA_VERSION or absent; anything else is a ConfigError."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{what} JSON must be an object")
+    fields = dict(payload)
+    version = fields.pop("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ConfigError(f"{what} schema_version must be {SCHEMA_VERSION}, got {version!r}")
+    return fields

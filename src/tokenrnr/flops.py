@@ -28,8 +28,7 @@ class CostBreakdown:
 
     @property
     def total(self) -> int:
-        return (self.qk_matmul + self.av_matmul + self.projections
-                + self.matching + self.softmax)
+        return sum(getattr(self, f.name) for f in fields(self))
 
     def add(self, other: "CostBreakdown") -> None:
         for f in fields(self):
@@ -51,6 +50,16 @@ def matching_macs(n_src: int, n_dst: int, d: int) -> int:
     return n_src * n_dst * d
 
 
+def _attention_cost(m_q: int, m_kv: int, n_proj: int, d: int, num_heads: int,
+                    matching: int = 0) -> CostBreakdown:
+    """One attention layer: n_proj rows projected, m_q queries against m_kv
+    keys and values, softmax bookkeeping per score entry and head."""
+    scores = m_q * m_kv
+    return CostBreakdown(qk_matmul=scores * d, av_matmul=scores * d,
+                         projections=3 * n_proj * d * d, matching=matching,
+                         softmax=SOFTMAX_COST_PER_ENTRY * scores * num_heads)
+
+
 def cost_plain(n: int, d: int, num_heads: int = 1) -> CostBreakdown:
     """Cost of one full attention layer on n tokens of width d.
 
@@ -59,13 +68,7 @@ def cost_plain(n: int, d: int, num_heads: int = 1) -> CostBreakdown:
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
-    return CostBreakdown(
-        qk_matmul=n * n * d,
-        av_matmul=n * n * d,
-        projections=3 * n * d * d,
-        matching=0,
-        softmax=SOFTMAX_COST_PER_ENTRY * n * n * num_heads,
-    )
+    return _attention_cost(n, n, n, d, num_heads)
 
 
 def cost_sym(n: int, d: int, m: int, num_heads: int = 1) -> CostBreakdown:
@@ -75,13 +78,7 @@ def cost_sym(n: int, d: int, m: int, num_heads: int = 1) -> CostBreakdown:
     """
     if not 1 <= m <= n:
         raise ValueError(f"m={m} must lie in [1, n={n}]")
-    return CostBreakdown(
-        qk_matmul=m * m * d,
-        av_matmul=m * m * d,
-        projections=3 * m * d * d,
-        matching=0,
-        softmax=SOFTMAX_COST_PER_ENTRY * m * m * num_heads,
-    )
+    return _attention_cost(m, m, m, d, num_heads)
 
 
 def cost_asym(n: int, d: int, m_q: int, m_kv: int, matching_on: bool,
@@ -95,10 +92,5 @@ def cost_asym(n: int, d: int, m_q: int, m_kv: int, matching_on: bool,
     if not (1 <= m_q <= n and 1 <= m_kv <= n):
         raise ValueError(f"m_q={m_q}, m_kv={m_kv} must lie in [1, n={n}]")
     n_dst = round(r_d * n)
-    return CostBreakdown(
-        qk_matmul=m_q * m_kv * d,
-        av_matmul=m_q * m_kv * d,
-        projections=3 * n * d * d,
-        matching=matching_macs(n - n_dst, n_dst, d) if matching_on else 0,
-        softmax=SOFTMAX_COST_PER_ENTRY * m_q * m_kv * num_heads,
-    )
+    return _attention_cost(m_q, m_kv, n, d, num_heads,
+                           matching_macs(n - n_dst, n_dst, d) if matching_on else 0)

@@ -39,13 +39,9 @@ _KNN_CHUNK_ELEMS = 1 << 18
 
 @dataclass(frozen=True)
 class KlEstimate:
-    """Estimated divergence in nats plus the sample geometry it came from."""
+    """Estimated divergence in nats."""
 
     value: float
-    k: int
-    reduced_count: int
-    original_count: int
-    dim: int
 
 
 def _validate_samples(points: Matrix, min_rows: int = 2) -> None:
@@ -102,8 +98,7 @@ def kl_estimate(reduced: Matrix, original: Matrix, k: int = 1) -> KlEstimate:
     nu = np.maximum(knn_distances(reduced, original, k, exclude_self=False),
                     DISTANCE_FLOOR)
     value = (d / l_prime) * float(np.log(nu / rho).sum()) + math.log(l / (l_prime - 1))
-    return KlEstimate(value=value, k=k, reduced_count=l_prime,
-                      original_count=l, dim=d)
+    return KlEstimate(value=value)
 
 
 def score_reduction(tokens: Matrix, plan: ReductionPlan, k: int = 1) -> float:

@@ -24,16 +24,16 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import flops
 from .core import (Matrix, apply_rope_tables, checksum_matrix, rope3d_tables,
                    spawn_rngs)
-from .errors import (ConfigError, InvariantError, config_bool, config_int,
-                     config_int_triple, config_real)
-from .matching import DEFAULT_METRIC, partition_3d, pairwise_best_match
+from .errors import (SCHEMA_VERSION, ConfigError, InvariantError, config_bool,
+                     config_int, config_int_triple, config_real, json_object)
+from .matching import partition_3d, pairwise_best_match
 from .rnr import (REDUCE_OPS, ReductionPlan, attn_plain, build_plan,
                   reduce_tokens, restore_tokens)
 from .schedule import (MatchingCache, PROFILE_FEATURES, ScheduleConfig,
@@ -123,11 +123,11 @@ class PipelineConfig:
 
     @property
     def stride(self) -> tuple[int, int, int]:
-        return self.schedule.stride if self.schedule else (2, 2, 2)
+        return (self.schedule or ScheduleConfig()).stride
 
     @property
     def metric(self) -> str:
-        return self.schedule.metric if self.schedule else DEFAULT_METRIC
+        return (self.schedule or ScheduleConfig()).metric
 
     @property
     def reductions(self) -> tuple[tuple[str, str], ...]:
@@ -146,40 +146,22 @@ class PipelineConfig:
         return self.scheduled and self.rnr_mode == "sym"
 
     def to_json(self) -> str:
-        payload = {
-            "schema_version": 1,
-            "grid_shape": list(self.grid_shape),
-            "feature_dim": self.feature_dim,
-            "num_blocks": self.num_blocks,
-            "num_heads": self.num_heads,
-            "num_timesteps": self.num_timesteps,
-            "seed": self.seed,
-            "rnr_mode": self.rnr_mode,
-            "profiling": self.profiling,
-            "rope": self.rope,
-            "reduce_op": self.reduce_op,
-            "duplicate_fraction": self.duplicate_fraction,
-            "collect_norms": self.collect_norms,
-        }
+        """Every field in order, the schedule (when there is one) last."""
+        payload = {"schema_version": SCHEMA_VERSION}
+        payload.update((f.name, getattr(self, f.name))
+                       for f in fields(self) if f.name != "schedule")
         if self.schedule is not None:
-            payload["schedule"] = json.loads(self.schedule.to_json())
+            payload["schedule"] = self.schedule.to_dict()
         return json.dumps(payload, indent=2)
 
     @staticmethod
     def from_json(text: str) -> "PipelineConfig":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ConfigError("config JSON must be an object")
-        payload.pop("schema_version", None)
-        known = {f.name for f in PipelineConfig.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = set(payload) - known
+        payload = json_object(text, "config")
+        unknown = set(payload) - {f.name for f in fields(PipelineConfig)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if payload.get("schedule") is not None:
-            payload["schedule"] = ScheduleConfig.from_json(json.dumps(payload["schedule"]))
+            payload["schedule"] = ScheduleConfig.from_dict(payload["schedule"])
         return PipelineConfig(**payload)
 
     @staticmethod
@@ -223,19 +205,14 @@ class RunReport:
 
     def to_json(self) -> str:
         payload = {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "checksum": self.checksum,
             "total_macs": self.total_macs,
             "total_flops": self.total_flops,
             "total_wall_s": self.total_wall_s,
             "measured": self.measured.as_dict(),
             "predicted": self.predicted.as_dict(),
-            "records": [
-                {"t": r.t, "b": r.b, "wall_s": r.wall_s, "rates": r.rates,
-                 "m_q": r.m_q, "m_kv": r.m_kv,
-                 "recomputed": list(r.recomputed), "macs": r.macs}
-                for r in self.records
-            ],
+            "records": [asdict(r) for r in self.records],
         }
         if self.norm_records:
             payload["norm_records"] = self.norm_records

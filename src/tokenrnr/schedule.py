@@ -17,15 +17,14 @@ import hashlib
 import json
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, config_int, config_int_triple, config_real
+from .errors import (SCHEMA_VERSION, ConfigError, config_int, config_int_triple,
+                     config_real, json_object, schema_fields)
 from .matching import DEFAULT_METRIC, METRICS, MatchResult, Partition, \
     pairwise_best_match, standardize_profile
-
-SCHEMA_VERSION = 1
 
 PROFILE_FEATURES = ("H", "Q", "K", "V")
 SCHEDULABLE_FEATURES = ("Q", "V")
@@ -76,44 +75,36 @@ class ScheduleConfig:
     def is_identity(self) -> bool:
         return not any(self.rules.values())
 
-    @staticmethod
-    def identity(cache_step: int = 5, stride=(2, 2, 2),
-                 metric: str = DEFAULT_METRIC) -> "ScheduleConfig":
-        return ScheduleConfig(rules={}, cache_step=cache_step, stride=stride,
-                              metric=metric)
-
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The file form: a threshold -> rate object per feature, then the settings."""
         payload: dict = {feature: {repr(t): r for t, r in rules}
                          for feature, rules in sorted(self.rules.items())}
-        payload["cache_step"] = self.cache_step
-        payload["stride"] = list(self.stride)
-        payload["metric"] = self.metric
-        return json.dumps(payload, indent=2)
+        payload.update((f.name, getattr(self, f.name))
+                       for f in fields(self) if f.name != "rules")
+        return payload
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     @staticmethod
-    def from_json(text: str) -> "ScheduleConfig":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"schedule is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ConfigError("schedule JSON must be an object")
+    def from_dict(payload) -> "ScheduleConfig":
+        """Read the parsed file form; a setting it leaves out keeps its default."""
+        entries = schema_fields(payload, "schedule")
+        settings = {f.name: entries.pop(f.name) for f in fields(ScheduleConfig)
+                    if f.name in entries and f.name != "rules"}
         rules = {}
-        for key, value in payload.items():
-            if key in ("cache_step", "stride", "metric", "schema_version"):
-                continue
+        for key, value in entries.items():
             if not isinstance(value, dict):
                 raise ConfigError(f"schedule entry {key!r} must map thresholds to rates")
             try:
                 rules[key] = [(float(t), r) for t, r in value.items()]
             except ValueError as exc:
                 raise ConfigError(f"bad threshold in entry {key!r}: {exc}") from exc
-        return ScheduleConfig(
-            rules=rules,
-            cache_step=payload.get("cache_step", 5),
-            stride=payload.get("stride", (2, 2, 2)),
-            metric=payload.get("metric", DEFAULT_METRIC),
-        )
+        return ScheduleConfig(rules=rules, **settings)
+
+    @staticmethod
+    def from_json(text: str) -> "ScheduleConfig":
+        return ScheduleConfig.from_dict(json_object(text, "schedule"))
 
     @staticmethod
     def from_file(path) -> "ScheduleConfig":
@@ -178,29 +169,15 @@ class SimilarityProfile:
     def to_json(self) -> str:
         payload = {
             "schema_version": SCHEMA_VERSION,
-            "metadata": {
-                "num_timesteps": self.num_timesteps,
-                "num_blocks": self.num_blocks,
-                "features": list(self.features),
-                "grid_shape": list(self.grid_shape),
-                "stride": list(self.stride),
-                "metric": self.metric,
-            },
-            "records": [
-                {"feature": r.feature, "t": r.t, "b": r.b,
-                 "sim_raw": r.sim_raw, "sim_std": r.sim_std,
-                 "sim_p10": r.sim_p10, "sim_p90": r.sim_p90}
-                for r in self.records
-            ],
+            "metadata": {f.name: getattr(self, f.name)
+                         for f in fields(self) if f.name != "records"},
+            "records": [asdict(r) for r in self.records],
         }
         return json.dumps(payload, indent=2)
 
     @staticmethod
     def from_json(text: str) -> "SimilarityProfile":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"profile is not valid JSON: {exc}") from exc
+        payload = json_object(text, "profile")
         try:
             meta = payload["metadata"]
             records = [ProfileRecord(
@@ -331,9 +308,7 @@ class TuneResult:
 TUNE_MAX_CALLS = 10
 
 
-def tune_schedule(quality_oracle, feature: str = "Q",
-                  cache_step: int = 5, stride=(2, 2, 2),
-                  metric: str = DEFAULT_METRIC) -> TuneResult:
+def tune_schedule(quality_oracle, feature: str = "Q", **matching) -> TuneResult:
     """Walk threshold/rate space with a good/bad quality callback.
 
     Starting at threshold 0.5 and rate 0.3: while the oracle approves, raise
@@ -343,13 +318,14 @@ def tune_schedule(quality_oracle, feature: str = "Q",
     when the threshold would exceed 0.9, or at the call budget; the last
     approved (threshold, rate) pair becomes the schedule. If the very first
     configuration is rejected, an identity schedule is returned, flagged.
+    Every schedule carries the ScheduleConfig settings `matching`.
 
     The oracle must be deterministic per configuration.
     """
 
     def make_config(thr_tenths: int, rate_tenths: int) -> ScheduleConfig:
         return ScheduleConfig(rules={feature: [(thr_tenths / 10, rate_tenths / 10)]},
-                              cache_step=cache_step, stride=stride, metric=metric)
+                              **matching)
 
     thr, rate = 5, 3
     last_good: tuple[int, int] | None = None
@@ -366,9 +342,8 @@ def tune_schedule(quality_oracle, feature: str = "Q",
             rate += 2
         else:
             if last_good is None:
-                return TuneResult(
-                    config=ScheduleConfig.identity(cache_step, stride, metric),
-                    accepted=False, trace=tuple(trace))
+                return TuneResult(config=ScheduleConfig(**matching),
+                                  accepted=False, trace=tuple(trace))
             if rate in failed_rates:
                 break
             failed_rates.add(rate)

@@ -396,3 +396,168 @@ class TestNormstatsCommand:
                      "--out", str(out)]) == 0
         rows = read_csv(out)
         assert {r["t"] for r in rows} == {"0", "2"}
+
+
+@pytest.fixture
+def pipeline_calls(monkeypatch):
+    """Every run_pipeline call the CLI makes, each still run."""
+    import tokenrnr.cli as cli
+    calls = []
+    real = cli.run_pipeline
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_pipeline", counted)
+    return calls
+
+
+class TestOutputsCheckedFirst:
+    @pytest.mark.parametrize("command", [
+        ["normstats"],
+        ["bench", "--repeat", "1", "--warmup", "0"],
+        ["ablate", "--dimension", "reduce_op"],
+    ])
+    def test_out_in_missing_dir_exits_2_before_any_run(
+            self, cfg_path, tmp_path, pipeline_calls, capsys, command):
+        out = tmp_path / "no_such_dir" / "out.csv"
+        assert main([*command, "--config", cfg_path, "--out", str(out)]) == 2
+        assert pipeline_calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("file error:") and "no_such_dir" in err
+        assert not out.parent.exists()
+
+    def test_report_in_missing_dir_exits_2_before_any_run(
+            self, cfg_path, tmp_path, pipeline_calls, capsys):
+        report = tmp_path / "no_such_dir" / "report.json"
+        assert main(["bench", "--config", cfg_path, "--out", str(tmp_path / "b.csv"),
+                     "--report", str(report), "--repeat", "1", "--warmup", "0"]) == 2
+        assert pipeline_calls == []
+        assert not (tmp_path / "b.csv").exists()
+        assert "no_such_dir" in capsys.readouterr().err
+
+    def test_out_that_is_a_directory_exits_2(self, cfg_path, tmp_path, capsys):
+        assert main(["profile", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert "Is a directory" in capsys.readouterr().err
+
+    def test_existing_out_is_overwritten(self, cfg_path, tmp_path):
+        out = tmp_path / "norms.csv"
+        out.write_text("stale\n")
+        assert main(["normstats", "--config", cfg_path, "--out", str(out)]) == 0
+        assert read_csv(out)[0]["schema_version"] == "1"
+
+
+class TestFlagsAndPaths:
+    def test_seed_flag_overrides_the_config_seed(self, cfg_path, tmp_path):
+        seeded_cfg = tmp_path / "seed8.json"
+        seeded_cfg.write_text(json.dumps({**SMALL_CFG, "seed": 8}))
+        outs = {name: tmp_path / f"{name}.json" for name in ("flag", "config", "own")}
+        assert main(["profile", "--config", cfg_path, "--seed", "8",
+                     "--out", str(outs["flag"])]) == 0
+        assert main(["profile", "--config", str(seeded_cfg),
+                     "--out", str(outs["config"])]) == 0
+        assert main(["profile", "--config", cfg_path, "--out", str(outs["own"])]) == 0
+        assert outs["flag"].read_bytes() == outs["config"].read_bytes()
+        assert outs["flag"].read_bytes() != outs["own"].read_bytes()
+
+    def test_bench_warmup_runs_are_extra_and_unrecorded(self, cfg_path, tmp_path,
+                                                       pipeline_calls):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--config", cfg_path, "--out", str(out),
+                     "--repeat", "2", "--warmup", "1"]) == 0
+        # (1 warmup + 2 timed) for the baseline, then for the scheduled run
+        assert [c.rnr_mode for c in pipeline_calls] == ["none"] * 3 + ["asym"] * 3
+        assert len(read_csv(out)) == 2
+
+    def test_bad_steps_exit_2_before_the_run(self, cfg_path, tmp_path,
+                                             pipeline_calls, capsys):
+        assert main(["normstats", "--config", cfg_path, "--steps", "a,b",
+                     "--out", str(tmp_path / "n.csv")]) == 2
+        assert pipeline_calls == []
+        assert "--steps" in capsys.readouterr().err
+
+    def test_profile_repeating_a_lattice_point_exits_2(self, cfg_path, schedule_path,
+                                                       tmp_path, capsys):
+        prof_path = tmp_path / "prof.json"
+        main(["profile", "--config", cfg_path, "--out", str(prof_path)])
+        payload = json.loads(prof_path.read_text())
+        # the record count still matches; (H, 0, 1) is missing, (H, 0, 0) twice
+        first, second = payload["records"][:2]
+        assert (first["feature"], first["t"], first["b"]) == ("H", 0, 0)
+        assert (second["feature"], second["t"], second["b"]) == ("H", 0, 1)
+        second["b"] = 0
+        prof_path.write_text(json.dumps(payload))
+        rc = main(["bench", "--config", cfg_path, "--schedule", schedule_path,
+                   "--profile", str(prof_path), "--out", str(tmp_path / "b.csv"),
+                   "--repeat", "1", "--warmup", "0"])
+        assert rc == 2
+        assert "do not cover" in capsys.readouterr().err
+
+    def test_bench_report_carries_norm_records(self, tmp_path):
+        cfg = tmp_path / "norms.json"
+        cfg.write_text(json.dumps({**SMALL_CFG, "collect_norms": True}))
+        report_path = tmp_path / "report.json"
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "b.csv"),
+                     "--report", str(report_path), "--repeat", "1", "--warmup", "0"]) == 0
+        records = json.loads(report_path.read_text())["norm_records"]
+        assert len(records) == 4 * 2 * 2  # steps x blocks x {H, V}
+        assert list(records[0]) == ["feature", "t", "b", "p5", "p50", "p95", "p99"]
+
+
+class TestSchemaVersion:
+    """Every file the CLI reads must declare schema_version 1 or none."""
+
+    @staticmethod
+    def bench(tmp_path, cfg, schedule=None, profile=None):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = ["bench", "--config", str(cfg_path), "--out", str(tmp_path / "b.csv"),
+                "--repeat", "1", "--warmup", "0"]
+        if schedule is not None:
+            (tmp_path / "sched.json").write_text(json.dumps(schedule))
+            argv += ["--schedule", str(tmp_path / "sched.json")]
+        if profile is not None:
+            (tmp_path / "prof.json").write_text(json.dumps(profile))
+            argv += ["--profile", str(tmp_path / "prof.json")]
+        return main(argv)
+
+    @staticmethod
+    def versioned(payload, version):
+        payload = {k: v for k, v in payload.items() if k != "schema_version"}
+        return payload if version is None else {"schema_version": version, **payload}
+
+    @pytest.fixture
+    def profile(self, cfg_path, tmp_path):
+        path = tmp_path / "recorded.json"
+        main(["profile", "--config", cfg_path, "--out", str(path)])
+        return json.loads(path.read_text())
+
+    SCHEDULE = {"Q": {"0.0": 0.8}, "V": {"0.0": 0.5}, "cache_step": 2}
+
+    def cases(self, version, profile):
+        def v(payload):
+            return self.versioned(payload, version)
+
+        return {
+            "config": dict(cfg=v(SMALL_CFG)),
+            "schedule": dict(cfg=SMALL_CFG, schedule=v(self.SCHEDULE)),
+            "embedded": dict(cfg={**SMALL_CFG, "rnr_mode": "asym",
+                                  "schedule": v(self.SCHEDULE)}),
+            "profile": dict(cfg=SMALL_CFG, schedule=self.SCHEDULE, profile=v(profile)),
+        }
+
+    @pytest.mark.parametrize("case", ["config", "schedule", "embedded", "profile"])
+    def test_version_2_exits_2(self, tmp_path, profile, capsys, case):
+        assert self.bench(tmp_path, **self.cases(2, profile)[case]) == 2
+        assert "schema_version must be 1, got 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["config", "schedule", "embedded", "profile"])
+    def test_version_1_or_none_reads_the_same(self, tmp_path, profile, case):
+        outputs = []
+        for version in (1, None):
+            assert self.bench(tmp_path, **self.cases(version, profile)[case]) == 0
+            rows = read_csv(tmp_path / "b.csv")
+            outputs.append([(r["config_id"], r["schedule_hash"], r["checksum"])
+                            for r in rows])
+        assert outputs[0] == outputs[1]

@@ -43,7 +43,7 @@ class TestDeterminismAndEquivalence:
     def test_none_vs_asym_with_empty_schedule_identical(self):
         plain = run_pipeline(small_cfg())
         empty = run_pipeline(small_cfg(rnr_mode="asym",
-                                       schedule=ScheduleConfig.identity()))
+                                       schedule=ScheduleConfig()))
         assert plain.checksum == empty.checksum
 
     def test_rope_flag_changes_result(self):

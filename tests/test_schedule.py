@@ -75,7 +75,7 @@ class TestScheduleConfig:
             ScheduleConfig(rules={"Q": [(0.5, 0.8), (0.7, 0.3)]})
 
     def test_identity(self):
-        assert ScheduleConfig.identity().is_identity
+        assert ScheduleConfig().is_identity
         assert not ScheduleConfig(rules={"Q": [(0.0, 0.1)]}).is_identity
 
 

@@ -13,12 +13,12 @@ Library layout:
 - cli: profiling / benchmarking / ablation command line
 """
 from .core import (Matrix, checksum_matrix, make_rng, pairwise_sq_dists,
-                   row_softmax, spawn_rngs)
+                   spawn_rngs)
 from .errors import ConfigError, InvariantError
 from .flops import CostBreakdown, cost_asym, cost_plain, cost_sym, macs_to_flops
 from .klnn import KlEstimate, kl_estimate, knn_distances, score_reduction
-from .matching import MatchResult, Partition, partition_3d, pairwise_best_match, \
-    similarity_matrix, standardize_profile
+from .matching import (MatchResult, Partition, partition_3d, pairwise_best_match,
+                       standardize_profile)
 from .pipeline import (PipelineConfig, RunReport, attn_asym_rnr, attn_sym_rnr,
                        inject_duplicates, run_pipeline)
 from .rnr import (ReductionPlan, attn_plain, build_plan, reduce_tokens,
@@ -39,6 +39,6 @@ __all__ = [
     "inject_duplicates", "kl_estimate", "knn_distances", "lookup_rate",
     "macs_to_flops", "make_rng", "pairwise_best_match", "pairwise_sq_dists",
     "partition_3d", "record_profile", "reduce_tokens", "restore_tokens",
-    "row_softmax", "run_pipeline", "score_reduction", "similarity_matrix",
-    "spawn_rngs", "standardize_profile", "tune_schedule",
+    "run_pipeline", "score_reduction", "spawn_rngs", "standardize_profile",
+    "tune_schedule",
 ]

@@ -25,8 +25,8 @@ from .core import make_rng
 from .errors import SCHEMA_VERSION, ConfigError, InvariantError
 from .klnn import kl_estimate
 from .matching import METRICS, partition_3d, pairwise_best_match
-from .pipeline import (PipelineConfig, RunReport, run_pipeline, seeded_inputs,
-                       unreduced_profile)
+from .pipeline import (RNR_MODES, PipelineConfig, RunReport, run_pipeline,
+                       seeded_inputs, unreduced_profile)
 from .rnr import build_plan
 from .schedule import ScheduleConfig, SimilarityProfile
 
@@ -68,13 +68,10 @@ def _timed_runs(cfg: PipelineConfig, profile, repeat: int, warmup: int
     All passes must agree on the output checksum; wall times are the only
     nondeterministic quantity.
     """
-    if repeat < 1:
-        raise ConfigError("--repeat must be >= 1")
     for _ in range(warmup):
         run_pipeline(cfg, profile)
     walls = []
     checksums = set()
-    report = None
     for _ in range(repeat):
         t0 = time.perf_counter()
         report = run_pipeline(cfg, profile)
@@ -115,20 +112,19 @@ def cmd_bench(args) -> int:
     sched_ms = statistics.median(sched_walls) * 1e3
     deviation = float(np.abs(sched_report.final_tokens - base_report.final_tokens).max())
 
+    def row(run_cfg, digest, report, walls, speedup, row_deviation):
+        return [SCHEMA_VERSION, _config_id(run_cfg), run_cfg.rnr_mode, digest,
+                report.total_macs, report.total_flops,
+                *(f"{ms:.3f}" for ms in (statistics.median(walls) * 1e3,
+                                          min(walls) * 1e3, max(walls) * 1e3)),
+                speedup, report.checksum[:16], row_deviation]
+
     header = ["schema_version", "config_id", "rnr_mode", "schedule_hash",
               "total_macs", "total_flops", "wall_ms", "wall_ms_min",
               "wall_ms_max", "speedup", "checksum", "max_row_deviation"]
-    rows = [
-        [SCHEMA_VERSION, _config_id(base_cfg), "none", "-",
-         base_report.total_macs, base_report.total_flops,
-         f"{base_ms:.3f}", f"{min(base_walls)*1e3:.3f}", f"{max(base_walls)*1e3:.3f}",
-         "1.000", base_report.checksum[:16], "0"],
-        [SCHEMA_VERSION, _config_id(sched_cfg), mode, schedule.digest(),
-         sched_report.total_macs, sched_report.total_flops,
-         f"{sched_ms:.3f}", f"{min(sched_walls)*1e3:.3f}", f"{max(sched_walls)*1e3:.3f}",
-         f"{base_ms / sched_ms:.3f}", sched_report.checksum[:16],
-         f"{deviation:.6e}"],
-    ]
+    rows = [row(base_cfg, "-", base_report, base_walls, "1.000", "0"),
+            row(sched_cfg, schedule.digest(), sched_report, sched_walls,
+                f"{base_ms / sched_ms:.3f}", f"{deviation:.6e}")]
     _write_csv(args.out, header, rows)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -164,9 +160,6 @@ def _kl_score_for(cfg: PipelineConfig, rate: float) -> tuple[float, float]:
 
 
 def cmd_ablate(args) -> int:
-    if args.dimension not in ABLATE_DIMENSIONS:
-        raise ConfigError(f"unknown ablation dimension {args.dimension!r}; "
-                          f"expected one of {ABLATE_DIMENSIONS}")
     cfg = _load_config(args)
     rate = args.rate
 
@@ -225,24 +218,22 @@ def cmd_klcheck(args) -> int:
     mu = np.zeros(d)
     mu[0] = 1.0
     closed_shift = 0.5
-
-    ests = []
-    for seed in range(args.seeds):
-        rng = make_rng(args.seed_base + seed)
-        original = rng.standard_normal((args.samples, d))
-        reduced = rng.standard_normal((args.samples, d)) + mu
-        ests.append(kl_estimate(reduced, original, k=1).value)
-    shift_mean = float(np.mean(ests))
-
     sigma2 = np.linspace(0.5, 1.5, d)
     closed_diag = 0.5 * float(sigma2.sum() - d - np.log(sigma2).sum())
-    diag_ests = []
-    for seed in range(args.seeds):
-        rng = make_rng(args.seed_base + 1000 + seed)
-        original = rng.standard_normal((args.samples, d))
-        reduced = rng.standard_normal((args.samples, d)) * np.sqrt(sigma2)
-        diag_ests.append(kl_estimate(reduced, original, k=1).value)
-    diag_mean = float(np.mean(diag_ests))
+
+    def mean_estimate(seed_offset, transform) -> float:
+        """Mean over --seeds of the estimate for N(0, I) samples mapped by
+        `transform` against plain N(0, I) samples."""
+        ests = []
+        for seed in range(args.seeds):
+            rng = make_rng(args.seed_base + seed_offset + seed)
+            original = rng.standard_normal((args.samples, d))
+            reduced = transform(rng.standard_normal((args.samples, d)))
+            ests.append(kl_estimate(reduced, original, k=1).value)
+        return float(np.mean(ests))
+
+    shift_mean = mean_estimate(0, lambda z: z + mu)
+    diag_mean = mean_estimate(1000, lambda z: z * np.sqrt(sigma2))
 
     sweep_sizes = [500, 1000, 2000, 4000]
     sweep_errs = {l: [] for l in sweep_sizes}
@@ -293,6 +284,17 @@ def cmd_normstats(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int >= `low`, else a usage error (exit code 2)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse's "invalid int value" names it
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tokenrnr",
@@ -305,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         if schedule:
             p.add_argument("--schedule", help="schedule JSON")
-            p.add_argument("--mode", choices=("none", "sym", "asym"), default=None)
+            p.add_argument("--mode", choices=RNR_MODES, default=None)
 
     p = sub.add_parser("profile", help="record a similarity profile")
     common(p, schedule=True)
@@ -314,8 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="baseline vs scheduled wall-clock comparison")
     common(p, schedule=True)
     p.add_argument("--profile", help="similarity profile JSON (else pre-run records one)")
-    p.add_argument("--repeat", type=int, default=5, help="timed runs per variant")
-    p.add_argument("--warmup", type=int, default=1, help="untimed warmup runs")
+    p.add_argument("--repeat", type=_int_at_least(1), default=5,
+                   help="timed runs per variant")
+    p.add_argument("--warmup", type=_int_at_least(0), default=1,
+                   help="untimed warmup runs")
     p.add_argument("--report", help="also write the scheduled run's report JSON")
     p.set_defaults(func=cmd_bench)
 
@@ -326,11 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("klcheck", help="divergence estimator vs Gaussian closed forms")
-    p.add_argument("--dim", type=int, default=4)
-    p.add_argument("--samples", type=int, default=5000)
-    p.add_argument("--seeds", type=int, default=10)
-    p.add_argument("--sweep-seeds", type=int, default=20, dest="sweep_seeds")
-    p.add_argument("--seed-base", type=int, default=1000, dest="seed_base")
+    p.add_argument("--dim", type=_int_at_least(1), default=4)
+    p.add_argument("--samples", type=_int_at_least(2), default=5000)
+    p.add_argument("--seeds", type=_int_at_least(1), default=10)
+    p.add_argument("--sweep-seeds", type=_int_at_least(1), default=20, dest="sweep_seeds")
+    p.add_argument("--seed-base", type=_int_at_least(0), default=1000, dest="seed_base")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_klcheck)
 

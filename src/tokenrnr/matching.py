@@ -141,24 +141,16 @@ def _similarity_rows(src: np.ndarray, dst: np.ndarray, metric: str,
     return lambda lo, hi: rng.random((min(hi, len(src)) - lo, len(dst)))
 
 
-def similarity_matrix(src: np.ndarray, dst: np.ndarray, metric: str,
-                      rng: np.random.Generator | None = None) -> np.ndarray:
-    """(n_src, n_dst) similarity values.
-
-    neg_euclidean is the negative L2 distance (not squared), so a source
-    coinciding with a destination scores exactly 0, the metric's maximum.
-    cosine maps any pair involving a zero-norm row to -inf rather than NaN.
-    `random` ignores the tokens and draws i.i.d. uniforms from `rng`.
-    """
-    return _similarity_rows(src, dst, metric, rng)(0, len(src))
-
-
 def pairwise_best_match(tokens: np.ndarray, part: Partition, metric: str = DEFAULT_METRIC,
                         rng: np.random.Generator | None = None) -> MatchResult:
     """Match every source token to its most similar destination token.
 
-    Sources are matched in row blocks, so the whole similarity matrix is
-    never held; the result equals the argmax over `similarity_matrix`.
+    neg_euclidean is the negative L2 distance (not squared), so a source
+    coinciding with a destination scores exactly 0, its maximum; cosine is
+    -inf, not NaN, for a zero-norm row; `random` ignores the tokens and draws
+    i.i.d. uniforms from `rng`. Sources are matched in row blocks, so the
+    (n_src, n_dst) similarity matrix is never held whole; the result equals
+    its row argmax.
     """
     if tokens.shape[0] != part.n_tokens:
         raise ValueError(

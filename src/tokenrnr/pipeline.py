@@ -53,6 +53,10 @@ BLEND = 0.1
 #: or its weights (3 x num_blocks x feature_dim^2): 2^28 float64 are 2 GiB
 MAX_TOKEN_ENTRIES = 1 << 28
 
+#: most (timestep, block) points a config may ask for; a run keeps up to
+#: about 3.6 KB of records per point, and three weight objects per block
+MAX_LATTICE_POINTS = 1 << 16
+
 
 @dataclass
 class PipelineConfig:
@@ -77,6 +81,10 @@ class PipelineConfig:
             setattr(self, name, config_int(name, getattr(self, name)))
         if min(self.feature_dim, self.num_blocks, self.num_heads, self.num_timesteps) < 1:
             raise ConfigError("all size fields must be >= 1")
+        if self.num_timesteps * self.num_blocks > MAX_LATTICE_POINTS:
+            raise ConfigError(f"num_timesteps {self.num_timesteps} x num_blocks "
+                              f"{self.num_blocks} exceeds {MAX_LATTICE_POINTS} (2^16) "
+                              "(timestep, block) points")
         for what, entries in (("token", self.n_tokens * self.feature_dim),
                               ("weight", 3 * self.num_blocks * self.feature_dim ** 2)):
             if entries > MAX_TOKEN_ENTRIES:

@@ -48,25 +48,6 @@ class ReductionPlan:
     def m(self) -> int:
         return len(self.kept)
 
-    def validate(self) -> None:
-        n = self.original_len
-        if len(self.kept) + len(self.discarded) != n:
-            raise ValueError("kept and discarded must partition 0..n-1")
-        merged = np.concatenate([self.kept, self.discarded])
-        if not np.array_equal(np.sort(merged), np.arange(n)):
-            raise ValueError("kept and discarded must partition 0..n-1")
-        if len(self.reps) != len(self.discarded):
-            raise ValueError("reps must align with discarded")
-        if len(self.discarded) and not np.isin(self.reps, self.kept).all():
-            raise ValueError("every representative must be a kept index")
-
-    @staticmethod
-    def identity(n: int) -> "ReductionPlan":
-        return ReductionPlan(kept=np.arange(n, dtype=np.int64),
-                             discarded=np.empty(0, dtype=np.int64),
-                             reps=np.empty(0, dtype=np.int64),
-                             original_len=n)
-
 
 def build_plan(match: MatchResult, part: Partition, rate: float) -> ReductionPlan:
     """Discard the floor(rate * n_src) most redundant sources.
@@ -166,6 +147,6 @@ def attn_plain(q: Matrix, k: Matrix, v: Matrix, num_heads: int = 1,
             s = scores[:min(chunk, m_q - i)]
             o = out_h[i:i + chunk]
             np.matmul(q_h[i:i + chunk], kt, out=s)
-            np.matmul(row_softmax(s, out=s, normalize=False), v_h, out=o)
+            np.matmul(row_softmax(s, out=s), v_h, out=o)
             o /= row_sums(s)[:, None]
     return out

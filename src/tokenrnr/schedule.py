@@ -71,10 +71,6 @@ class ScheduleConfig:
         if self.metric not in METRICS:
             raise ConfigError(f"unknown metric {self.metric!r}")
 
-    @property
-    def is_identity(self) -> bool:
-        return not any(self.rules.values())
-
     def to_dict(self) -> dict:
         """The file form: a threshold -> rate object per feature, then the settings."""
         payload: dict = {feature: {repr(t): r for t, r in rules}

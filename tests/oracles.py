@@ -1,14 +1,21 @@
 """Brute-force reference implementations the tests check against.
 
 These deliberately use the dumbest possible formulation (explicit loops,
-full sorts, exhaustive argmax) and stay independent of the library's own
-matching/selection/ordering logic.
+full sorts, exhaustive argmax, Python sets) and stay independent of the
+library's own matching/selection/ordering logic. The whole similarity
+matrix and the plan check have no library counterpart; they are written
+here from their definitions. `direct_similarities` and `sort_based_knn`
+share one kernel with the library, its squared distances, because the
+bitwise checks on matching need exactly its rounding.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from tokenrnr.core import pairwise_sq_dists
+from tokenrnr.rnr import ReductionPlan
 
 
 def naive_attention(q, k, v):
@@ -44,6 +51,28 @@ def exhaustive_match(sims):
     return best_dst, best_sim, np.array(order, dtype=np.int64)
 
 
+def direct_similarities(src, dst, metric, rng=None):
+    """The whole (n_src, n_dst) similarity matrix, each metric from its
+    definition: the negative L2 distance, the dot product, the cosine (with
+    -inf wherever a zero-norm row takes part) and, for `random`, one draw of
+    i.i.d. uniforms from `rng`."""
+    if metric == "neg_euclidean":
+        return -np.sqrt(pairwise_sq_dists(src, dst))
+    if metric == "dot":
+        return src @ dst.T
+    if metric == "cosine":
+        src_norm = np.linalg.norm(src, axis=1)
+        dst_norm = np.linalg.norm(dst, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sims = (src / src_norm[:, None]) @ (dst / dst_norm[:, None]).T
+        sims[src_norm == 0.0, :] = -np.inf
+        sims[:, dst_norm == 0.0] = -np.inf
+        return sims
+    if metric == "random":
+        return rng.random((len(src), len(dst)))
+    raise ValueError(f"unknown metric {metric!r}")
+
+
 def sort_based_knn(points, query, k, exclude_self=False):
     """k-th order statistic by fully sorting all distances.
 
@@ -52,8 +81,6 @@ def sort_based_knn(points, query, k, exclude_self=False):
     `naive_distances` below provides the independent-arithmetic route, which
     is tolerance-checked.
     """
-    from tokenrnr.core import pairwise_sq_dists
-
     q = np.asarray(query, dtype=np.float64).reshape(1, -1)
     dists = np.sort(np.sqrt(pairwise_sq_dists(q, points)[0]))
     if exclude_self:
@@ -104,3 +131,22 @@ def mean_merge_rows(tokens, kept, rep_of):
         group = [tokens[kidx]] + [tokens[d] for d, r in rep_of.items() if r == kidx]
         out.append(np.mean(group, axis=0))
     return np.stack(out)
+
+
+def identity_plan(n):
+    """The plan over n tokens that discards nothing, written out."""
+    return ReductionPlan(kept=np.arange(n), discarded=np.array([], dtype=int),
+                         reps=np.array([], dtype=int), original_len=n)
+
+
+def check_plan(plan):
+    """Assert that kept and discarded split 0..n-1 between them, that reps
+    pairs up with discarded, and that every representative is kept."""
+    kept = [int(i) for i in plan.kept]
+    discarded = [int(i) for i in plan.discarded]
+    assert not set(kept) & set(discarded), "kept and discarded must be disjoint"
+    assert sorted(kept + discarded) == list(range(plan.original_len)), \
+        "kept and discarded must partition 0..n-1"
+    assert len(plan.reps) == len(discarded), "reps must align with discarded"
+    assert {int(r) for r in plan.reps} <= set(kept), \
+        "every representative must be a kept index"

@@ -84,6 +84,11 @@ class TestProfileCommand:
         # projection weights of 3 x num_blocks x feature_dim^2 entries (8 TiB)
         ("feature_dim", {"grid_shape": [1, 1, 1], "feature_dim": 1048576,
                          "num_blocks": 1, "num_heads": 1, "num_timesteps": 1}),
+        # 8e7 (timestep, block) points: three weight objects and the records
+        # of every point would be held at once
+        ("num_blocks", {"grid_shape": [1, 1, 1], "feature_dim": 1,
+                        "num_blocks": 80000000, "num_heads": 1,
+                        "num_timesteps": 1, "rope": False}),
     ])
     def test_bad_field_value_exits_2(self, tmp_path, capsys, field, payload):
         bad = tmp_path / "bad.json"
@@ -469,6 +474,31 @@ class TestFlagsAndPaths:
         # (1 warmup + 2 timed) for the baseline, then for the scheduled run
         assert [c.rnr_mode for c in pipeline_calls] == ["none"] * 3 + ["asym"] * 3
         assert len(read_csv(out)) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--repeat", "0"],
+        ["bench", "--warmup", "-1"],
+        ["klcheck", "--dim", "0"],
+        ["klcheck", "--dim", "-1"],
+        ["klcheck", "--samples", "1"],
+        ["klcheck", "--seeds", "0"],
+        ["klcheck", "--sweep-seeds", "0"],
+        ["klcheck", "--seed-base", "-1"],
+    ], ids=" ".join)
+    def test_out_of_range_number_exits_2_before_any_run(
+            self, cfg_path, schedule_path, tmp_path, monkeypatch, pipeline_calls,
+            capsys, argv):
+        import tokenrnr.cli as cli
+        profiled = []
+        monkeypatch.setattr(cli, "unreduced_profile", profiled.append)
+        out = tmp_path / "out"
+        if argv[0] == "bench":
+            argv = [*argv, "--config", cfg_path, "--schedule", schedule_path]
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--out", str(out)])
+        assert err.value.code == 2
+        assert pipeline_calls == [] and profiled == [] and not out.exists()
+        assert f"argument {argv[1]}: must be >=" in capsys.readouterr().err
 
     def test_bad_steps_exit_2_before_the_run(self, cfg_path, tmp_path,
                                              pipeline_calls, capsys):

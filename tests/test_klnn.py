@@ -200,7 +200,7 @@ class TestScoreReduction:
         rng = make_rng(9)
         part = partition_3d((2, 4, 4), (2, 2, 2), rng)
         tokens = rng.standard_normal((part.n_tokens, 4))
-        plan = ReductionPlan.identity(part.n_tokens)
+        plan = build_plan(pairwise_best_match(tokens, part), part, 0.0)
         value = score_reduction(tokens, plan, k=1)
         # self-comparison: every nu hits the floor; tracked for regression only
         assert np.isfinite(value) and value < 0

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 from tokenrnr import matching
 from tokenrnr.core import make_rng
 from tokenrnr.matching import (Partition, partition_3d, pairwise_best_match,
-                               similarity_matrix, standardize_profile)
+                               standardize_profile)
 
-from oracles import exhaustive_match, sorted_percentile_standardize
+from oracles import (direct_similarities, exhaustive_match,
+                     sorted_percentile_standardize)
 
 RATIO_TABLE = [
     ((1, 2, 2), 24.44),
@@ -80,8 +81,8 @@ class TestBestMatch:
         tokens = rng.standard_normal((6, 4))
         part = partition_3d((1, 2, 3), (1, 1, 3), rng)  # 2 dst / 4 src
         match = pairwise_best_match(tokens, part, "neg_euclidean")
-        sims = similarity_matrix(tokens[part.src_indices],
-                                    tokens[part.dst_indices], "neg_euclidean")
+        sims = direct_similarities(tokens[part.src_indices],
+                                   tokens[part.dst_indices], "neg_euclidean")
         best_dst, best_sim, order = exhaustive_match(sims)
         assert np.array_equal(match.best_dst, best_dst)
         assert np.array_equal(match.best_sim, best_sim)
@@ -98,8 +99,8 @@ class TestBestMatch:
                 continue
             tokens = rng.standard_normal((part.n_tokens, 6))
             match = pairwise_best_match(tokens, part, metric, rng)
-            sims = similarity_matrix(tokens[part.src_indices],
-                                        tokens[part.dst_indices], metric, rng)
+            sims = direct_similarities(tokens[part.src_indices],
+                                       tokens[part.dst_indices], metric, rng)
             best_dst, best_sim, order = exhaustive_match(sims)
             assert np.array_equal(match.best_dst, best_dst)
             assert np.array_equal(match.best_sim, best_sim)
@@ -112,8 +113,8 @@ class TestBestMatch:
         tokens = rng.standard_normal((part.n_tokens, 6))
         tokens[part.src_indices[-1]] = tokens[part.dst_indices[5]]
         match = pairwise_best_match(tokens, part, metric)
-        sims = similarity_matrix(tokens[part.src_indices],
-                                    tokens[part.dst_indices], metric)
+        sims = direct_similarities(tokens[part.src_indices],
+                                   tokens[part.dst_indices], metric)
         best_dst, best_sim, order = exhaustive_match(sims)
         assert np.array_equal(match.best_dst, best_dst)
         assert np.array_equal(match.best_sim, best_sim)
@@ -157,8 +158,8 @@ class TestBestMatch:
         assert big.n_src > matching._MATCH_CHUNK_ELEMS // big.n_dst
         tokens = rng.standard_normal((big.n_tokens, 4))
         match = pairwise_best_match(tokens, big, "random", make_rng(56))
-        sims = similarity_matrix(tokens[big.src_indices], tokens[big.dst_indices],
-                                    "random", make_rng(56))
+        sims = direct_similarities(tokens[big.src_indices], tokens[big.dst_indices],
+                                   "random", make_rng(56))
         best_dst, best_sim, _ = exhaustive_match(sims)
         assert np.array_equal(match.best_dst, best_dst)
         assert np.array_equal(match.best_sim, best_sim)

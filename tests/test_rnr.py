@@ -13,7 +13,8 @@ from tokenrnr.pipeline import attn_asym_rnr, attn_sym_rnr
 from tokenrnr.rnr import (ReductionPlan, attn_plain, build_plan, reduce_tokens,
                           restore_tokens)
 
-from oracles import gather_rows, mean_merge_rows, naive_attention
+from oracles import (check_plan, gather_rows, identity_plan, mean_merge_rows,
+                     naive_attention)
 
 
 def toy_match(seed=0, shape=(2, 2, 2), stride=(2, 2, 1), d=4,
@@ -36,7 +37,7 @@ class TestBuildPlan:
         plan = build_plan(match, part, 0.0)
         assert np.array_equal(plan.kept, np.arange(part.n_tokens))
         assert len(plan.discarded) == 0
-        plan.validate()
+        check_plan(plan)
 
     def test_discard_count_arithmetic_at_scale(self):
         # grid (13,30,45) with stride (2,2,2): 15570 sources, rate 0.3 -> 4671
@@ -65,7 +66,7 @@ class TestBuildPlan:
         discarded_sims = {float(match.best_sim[list(part.src_indices).index(i)])
                           for i in plan.discarded}
         assert all(s >= threshold for s in discarded_sims)
-        plan.validate()
+        check_plan(plan)
 
     def test_only_sources_discarded(self):
         tokens, part, match = toy_match(seed=4, shape=(4, 3, 3), stride=(2, 3, 3))
@@ -74,11 +75,31 @@ class TestBuildPlan:
         assert set(plan.reps) <= set(part.dst_indices)
 
 
+class TestCheckPlanOracle:
+    """check_plan stands in for a library check, so it is tested itself."""
+
+    @pytest.mark.parametrize("kept, discarded, reps, message", [
+        ([0, 2, 3], [1], [1], "representative"),    # the rep was discarded
+        ([0, 2], [1], [0], "partition"),            # index 3 is missing
+        ([0, 2, 3], [1], [0, 2], "align"),          # reps longer than discarded
+    ])
+    def test_rejects_bad_plans(self, kept, discarded, reps, message):
+        plan = ReductionPlan(kept=np.array(kept), discarded=np.array(discarded),
+                             reps=np.array(reps), original_len=4)
+        with pytest.raises(AssertionError, match=message):
+            check_plan(plan)
+
+    def test_accepts_the_identity_and_a_built_plan(self):
+        tokens, part, match = toy_match(seed=2, shape=(2, 3, 2), stride=(2, 1, 2))
+        check_plan(identity_plan(part.n_tokens))
+        check_plan(build_plan(match, part, 0.6))
+
+
 class TestReduceRestore:
     def test_zero_rate_roundtrip_identity(self):
         rng = make_rng(5)
         tokens = rng.standard_normal((10, 3))
-        plan = ReductionPlan.identity(10)
+        plan = identity_plan(10)
         assert np.array_equal(reduce_tokens(tokens, plan), tokens)
         assert np.array_equal(restore_tokens(tokens, plan), tokens)
 
@@ -128,7 +149,7 @@ class TestReduceRestore:
             assert np.array_equal(roundtrip[i], expected)
 
     def test_shape_validation(self):
-        plan = ReductionPlan.identity(4)
+        plan = identity_plan(4)
         with pytest.raises(ValueError, match="token count"):
             reduce_tokens(np.ones((5, 2)), plan)
         with pytest.raises(ValueError, match="rows"):
@@ -245,7 +266,7 @@ class TestSymRnr:
     def test_zero_rate_equals_plain(self):
         rng = make_rng(21)
         h = rng.standard_normal((24, self.d))
-        out = attn_sym_rnr(h, self.weights, ReductionPlan.identity(24))
+        out = attn_sym_rnr(h, self.weights, identity_plan(24))
         assert np.abs(out - self.plain_reference(h)).max() <= 1e-12
 
     def test_restoration_contract(self):
@@ -282,7 +303,7 @@ class TestAsymRnr:
         rng = make_rng(30)
         n, d = 32, 8
         q, k, v = (rng.standard_normal((n, d)) for _ in range(3))
-        ident = ReductionPlan.identity(n)
+        ident = identity_plan(n)
         out = attn_asym_rnr(q, k, v, ident, ident)
         assert np.abs(out - attn_plain(q, k, v)).max() <= 1e-12
 
@@ -295,7 +316,7 @@ class TestAsymRnr:
             k, v = rng.standard_normal((n, d)), rng.standard_normal((n, d))
             plain = attn_plain(q, k, v)
             out = attn_asym_rnr(q, k, v, single_rep_plan(n, 7, 2),
-                                ReductionPlan.identity(n))
+                                identity_plan(n))
             assert np.abs(out[7] - plain[7]).max() <= 1e-9
 
     def test_duplicate_kv_pair_deviation_is_oracle_bounded(self):
@@ -315,7 +336,7 @@ class TestAsymRnr:
             k[11] = k[5]
             v[11] = v[5]
             plain = attn_plain(q, k, v)
-            out = attn_asym_rnr(q, k, v, ReductionPlan.identity(n),
+            out = attn_asym_rnr(q, k, v, identity_plan(n),
                                 single_rep_plan(n, 11, 5))
             devs.append(float(np.abs(out - plain).max()))
         assert max(devs) <= 1.0
@@ -329,7 +350,7 @@ class TestAsymRnr:
         k, v = rng.standard_normal((n, 8)), rng.standard_normal((n, 8))
         q_match = pairwise_best_match(q, part, "neg_euclidean")
         plan_q = build_plan(q_match, part, 0.5)
-        out = attn_asym_rnr(q, k, v, plan_q, ReductionPlan.identity(n))
+        out = attn_asym_rnr(q, k, v, plan_q, build_plan(q_match, part, 0.0))
         for disc, rep in zip(plan_q.discarded, plan_q.reps):
             assert np.array_equal(out[disc], out[rep])
 
@@ -381,7 +402,7 @@ class TestAsymRnr:
             rate = (len(dup_src) + 0.5) / part.n_src
             plan_q = build_plan(match, part, rate)
             assert set(plan_q.discarded) == set(dup_src)
-            out = attn_asym_rnr(q, k, v, plan_q, ReductionPlan.identity(n))
+            out = attn_asym_rnr(q, k, v, plan_q, build_plan(match, part, 0.0))
             assert np.abs(out - attn_plain(q, k, v)).max() <= 1e-9
 
     def test_kv_plan_shape_validation(self):
@@ -389,7 +410,7 @@ class TestAsymRnr:
         q = rng.standard_normal((6, 4))
         k = rng.standard_normal((6, 4))
         v = rng.standard_normal((5, 4))
-        ident = ReductionPlan.identity(6)
+        ident = identity_plan(6)
         with pytest.raises(ValueError, match="row counts"):
             attn_asym_rnr(q, k, v, ident, ident)
 
@@ -403,7 +424,7 @@ def test_plan_partition_property(seed, n_src_target, rate):
     tokens = rng.standard_normal((part.n_tokens, 3))
     match = pairwise_best_match(tokens, part, "neg_euclidean")
     plan = build_plan(match, part, rate)
-    plan.validate()
+    check_plan(plan)
     assert plan.m == part.n_tokens - math.floor(rate * part.n_src)
     restored = restore_tokens(reduce_tokens(tokens, plan), plan)
     assert restored.shape == tokens.shape

@@ -74,10 +74,6 @@ class TestScheduleConfig:
         with pytest.warns(UserWarning, match="decrease"):
             ScheduleConfig(rules={"Q": [(0.5, 0.8), (0.7, 0.3)]})
 
-    def test_identity(self):
-        assert ScheduleConfig().is_identity
-        assert not ScheduleConfig(rules={"Q": [(0.0, 0.1)]}).is_identity
-
 
 class TestLookupRate:
     def setup_method(self):
@@ -265,7 +261,7 @@ class TestTuneSchedule:
     def test_always_bad_returns_flagged_identity(self):
         result = tune_schedule(lambda cfg: False)
         assert not result.accepted
-        assert result.config.is_identity
+        assert result.config.rules == {}
         assert result.trace == (TuneStep(0.5, 0.3, False),)
 
     def test_threshold_sensitive_oracle_walks_up(self):

@@ -23,15 +23,14 @@ from .pipeline import (PipelineConfig, RunReport, attn_asym_rnr, attn_sym_rnr,
                        inject_duplicates, run_pipeline)
 from .rnr import (ReductionPlan, attn_plain, build_plan, reduce_tokens,
                   restore_tokens)
-from .schedule import (MatchingCache, ScheduleConfig, SimilarityProfile,
-                       TuneResult, TuneStep, cached_match, lookup_rate,
-                       record_profile, tune_schedule)
+from .schedule import (ScheduleConfig, SimilarityProfile, TuneResult, TuneStep,
+                       cached_match, lookup_rate, record_profile, tune_schedule)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "CostBreakdown", "InvariantError",
-    "KlEstimate", "MatchResult", "MatchingCache", "Matrix", "Partition",
+    "KlEstimate", "MatchResult", "Matrix", "Partition",
     "PipelineConfig", "ReductionPlan", "RunReport", "ScheduleConfig",
     "SimilarityProfile", "TuneResult", "TuneStep",
     "attn_asym_rnr", "attn_plain", "attn_sym_rnr", "build_plan",

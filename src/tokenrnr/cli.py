@@ -25,8 +25,8 @@ from .core import make_rng
 from .errors import SCHEMA_VERSION, ConfigError, InvariantError
 from .klnn import kl_estimate
 from .matching import METRICS, partition_3d, pairwise_best_match
-from .pipeline import (RNR_MODES, PipelineConfig, RunReport, run_pipeline,
-                       seeded_inputs, unreduced_profile)
+from .pipeline import (MAX_TOKEN_ENTRIES, RNR_MODES, PipelineConfig, RunReport,
+                       run_pipeline, seeded_inputs, unreduced_profile)
 from .rnr import build_plan
 from .schedule import ScheduleConfig, SimilarityProfile
 
@@ -38,9 +38,13 @@ ABLATE_DIMENSIONS = ("metric", "reduce_op", "cache_step", "stride", "feature")
 
 def _load_config(args) -> PipelineConfig:
     """The --config file (else the defaults), with --seed, --mode and
-    --schedule overriding its fields where given."""
+    --schedule overriding its fields where given.
+
+    Its `profiling` is always off: only `profile` records a profile, through
+    `unreduced_profile`, and a timed run must not spend matchings on one.
+    """
     cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-    overrides = {}
+    overrides = {"profiling": False}
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
     if getattr(args, "mode", None) is not None:
@@ -160,7 +164,7 @@ def _kl_score_for(cfg: PipelineConfig, rate: float) -> tuple[float, float]:
 
 
 def cmd_ablate(args) -> int:
-    cfg = _load_config(args)
+    cfg = replace(_load_config(args), collect_norms=False)  # it writes no norms
     rate = args.rate
 
     def point(label, features="V", reduce_op=cfg.reduce_op,
@@ -215,6 +219,12 @@ def cmd_ablate(args) -> int:
 
 def cmd_klcheck(args) -> int:
     d = args.dim
+    sweep_sizes = [500, 1000, 2000, 4000]
+    entries = max(args.samples, *sweep_sizes) * d
+    if entries > MAX_TOKEN_ENTRIES:
+        raise ConfigError(
+            f"--samples {args.samples} and --dim {d} ask for {entries} entries per "
+            f"sample matrix; at most {MAX_TOKEN_ENTRIES} (2^28) are allowed")
     mu = np.zeros(d)
     mu[0] = 1.0
     closed_shift = 0.5
@@ -235,7 +245,6 @@ def cmd_klcheck(args) -> int:
     shift_mean = mean_estimate(0, lambda z: z + mu)
     diag_mean = mean_estimate(1000, lambda z: z * np.sqrt(sigma2))
 
-    sweep_sizes = [500, 1000, 2000, 4000]
     sweep_errs = {l: [] for l in sweep_sizes}
     for seed in range(args.sweep_seeds):
         rng = make_rng(args.seed_base + 2000 + seed)

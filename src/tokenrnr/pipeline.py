@@ -36,9 +36,8 @@ from .errors import (SCHEMA_VERSION, ConfigError, InvariantError, config_bool,
 from .matching import partition_3d, pairwise_best_match
 from .rnr import (REDUCE_OPS, ReductionPlan, attn_plain, build_plan,
                   reduce_tokens, restore_tokens)
-from .schedule import (MatchingCache, PROFILE_FEATURES, ScheduleConfig,
-                       SimilarityProfile, cached_match, lookup_rate,
-                       record_profile)
+from .schedule import (PROFILE_FEATURES, ScheduleConfig, SimilarityProfile,
+                       cached_match, lookup_rate, record_profile)
 
 #: per mode, the (matched feature, schedule rule) pairs a block reduces by;
 #: a symmetric run matches the shared input H and thresholds it by the Q rule
@@ -398,7 +397,7 @@ def run_pipeline(cfg: PipelineConfig,
         parts = [partition_3d(cfg.grid_shape, stride, rng_parts)
                  for _ in range(cfg.num_blocks)]
 
-    cache = MatchingCache(cache_step=schedule.cache_step if schedule else 1)
+    cache: dict = {}
     measured = flops.CostBreakdown()
     records: list[BlockRecord] = []
     norm_records: list[dict] = []
@@ -435,8 +434,9 @@ def run_pipeline(cfg: PipelineConfig,
             plans: dict = {}
             for feature, rule in cfg.reductions:
                 rate = rates[feature] = lookup_rate(schedule, profile, rule, t, b)
-                match, fresh = cached_match(cache, feature, b, t, feats[feature],
-                                            part, metric, rng_match)
+                match, fresh = cached_match(cache, schedule.cache_step, feature, b,
+                                            t, feats[feature], part, metric,
+                                            rng_match)
                 if fresh:
                     recomputed.append(feature)
                     measured.add(_matching_cost(match, d, metric))

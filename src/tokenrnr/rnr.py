@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,17 @@ class ReductionPlan:
     @property
     def m(self) -> int:
         return len(self.kept)
+
+    @cached_property
+    def row_map(self) -> np.ndarray:
+        """Each original row's position in the reduced sequence: a kept row's
+        own, a discarded row's representative's. Built once per plan and
+        read-only, since every caller shares it."""
+        row_map = np.empty(self.original_len, dtype=np.int64)
+        row_map[self.kept] = np.arange(self.m)
+        row_map[self.discarded] = row_map[self.reps]
+        row_map.flags.writeable = False
+        return row_map
 
 
 def build_plan(match: MatchResult, part: Partition, rate: float) -> ReductionPlan:
@@ -83,11 +95,9 @@ def reduce_tokens(tokens: Matrix, plan: ReductionPlan, op: str = "discard") -> M
     if tokens.shape[0] != plan.original_len:
         raise ValueError(
             f"token count {tokens.shape[0]} does not match plan over {plan.original_len}")
-    out = tokens[plan.kept].copy()
+    out = tokens[plan.kept]
     if op == "mean" and len(plan.discarded):
-        kept_pos = np.full(plan.original_len, -1, dtype=np.int64)
-        kept_pos[plan.kept] = np.arange(plan.m)
-        targets = kept_pos[plan.reps]
+        targets = plan.row_map[plan.discarded]
         counts = np.ones(plan.m)
         np.add.at(counts, targets, 1.0)
         np.add.at(out, targets, tokens[plan.discarded])
@@ -100,12 +110,7 @@ def restore_tokens(reduced_out: Matrix, plan: ReductionPlan) -> Matrix:
     if reduced_out.shape[0] != plan.m:
         raise ValueError(
             f"reduced matrix has {reduced_out.shape[0]} rows, plan expects {plan.m}")
-    kept_pos = np.empty(plan.original_len, dtype=np.int64)
-    kept_pos[plan.kept] = np.arange(plan.m)
-    row_source = kept_pos.copy()
-    if len(plan.discarded):
-        row_source[plan.discarded] = kept_pos[plan.reps]
-    return reduced_out[row_source]
+    return reduced_out[plan.row_map]
 
 
 def attn_plain(q: Matrix, k: Matrix, v: Matrix, num_heads: int = 1,

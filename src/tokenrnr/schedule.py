@@ -249,38 +249,22 @@ def lookup_rate(cfg: ScheduleConfig, profile: SimilarityProfile,
     return rules[pos - 1][1]
 
 
-@dataclass
-class MatchingCache:
-    """Reuses match results across steps; recomputes every cache_step steps.
-
-    An entry computed at step t0 serves any later step t with
-    cache_step * floor(t / cache_step) == t0, mirroring the cadence of the
-    sampling loop.
-    """
-
-    cache_step: int
-    _store: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.cache_step < 1:
-            raise ConfigError(f"cache_step must be >= 1, got {self.cache_step}")
-
-
-def cached_match(cache: MatchingCache, feature: str, block: int, t: int,
+def cached_match(cache: dict, cache_step: int, feature: str, block: int, t: int,
                  tokens, part: Partition, metric: str,
                  rng: np.random.Generator | None = None) -> tuple[MatchResult, bool]:
-    """Match through the cache; returns (result, recomputed).
+    """Match through `cache`, a dict a run keeps from (feature, block) to
+    (result, step computed); returns (result, recomputed).
 
     Recomputes when t is a multiple of the cache step, when no entry exists,
-    or when the stored entry does not belong to the current cache window.
+    or when the stored entry was not computed at the start of t's cache
+    window, cache_step * floor(t / cache_step), mirroring the cadence of the
+    sampling loop.
     """
-    s = cache.cache_step
     key = (feature, block)
-    entry = cache._store.get(key)
-    window = s * (t // s)
-    if t % s == 0 or entry is None or entry[1] != window:
+    entry = cache.get(key)
+    if t % cache_step == 0 or entry is None or entry[1] != t - t % cache_step:
         result = pairwise_best_match(tokens, part, metric, rng)
-        cache._store[key] = (result, t)
+        cache[key] = (result, t)
         return result, True
     return entry[0], False
 

@@ -6,7 +6,8 @@ library's own matching/selection/ordering logic. The whole similarity
 matrix and the plan check have no library counterpart; they are written
 here from their definitions. `direct_similarities` and `sort_based_knn`
 share one kernel with the library, its squared distances, because the
-bitwise checks on matching need exactly its rounding.
+bitwise checks on matching need exactly its rounding. `reference_pipeline`
+shares none: it is checked to a tolerance.
 """
 from __future__ import annotations
 
@@ -150,3 +151,221 @@ def check_plan(plan):
     assert len(plan.reps) == len(discarded), "reps must align with discarded"
     assert {int(r) for r in plan.reps} <= set(kept), \
         "every representative must be a kept index"
+
+
+def _reference_inputs(cfg):
+    """The initial tokens and the weight, partition and matching streams,
+    drawn in the pipeline's order: five children of one SeedSequence for
+    init, weights, partitions, duplicates and matching."""
+    rng_init, rng_weights, rng_parts, rng_dup, rng_match = [
+        np.random.Generator(np.random.PCG64(child))
+        for child in np.random.SeedSequence(cfg.seed).spawn(5)]
+    n, d = cfg.n_tokens, cfg.feature_dim
+    x = rng_init.standard_normal((n, d))
+    k = int(cfg.duplicate_fraction * n)
+    if k:
+        # each target row becomes a copy of a row that is not a target
+        targets = rng_dup.choice(n, size=k, replace=False)
+        survivors = sorted(set(range(n)) - {int(i) for i in targets})
+        picks = rng_dup.integers(0, len(survivors), size=k)
+        x = x.copy()
+        for target, pick in zip(targets, picks):
+            x[target] = x[survivors[pick]]
+    weights = [[rng_weights.standard_normal((d, d)) / np.sqrt(d) for _ in range(3)]
+               for _ in range(cfg.num_blocks)]
+    return x, weights, rng_parts, rng_match
+
+
+def _reference_partition(grid_shape, stride, rng):
+    """One destination per complete stride chunk, at a uniformly drawn cell
+    of it (one draw per chunk, t-major); every other position is a source."""
+    (t_dim, h_dim, w_dim), (s_t, s_h, s_w) = grid_shape, stride
+    chunks = [(ct, ch, cw) for ct in range(t_dim // s_t)
+              for ch in range(h_dim // s_h) for cw in range(w_dim // s_w)]
+    cells = rng.integers(0, s_t * s_h * s_w, size=len(chunks))
+    dst = []
+    for (ct, ch, cw), cell in zip(chunks, cells):
+        dt, rest = divmod(int(cell), s_h * s_w)
+        dh, dw = divmod(rest, s_w)
+        dst.append(((ct * s_t + dt) * h_dim + ch * s_h + dh) * w_dim + cw * s_w + dw)
+    dst = sorted(dst)
+    src = sorted(set(range(t_dim * h_dim * w_dim)) - set(dst))
+    return dst, src
+
+
+def _reference_rope(grid_shape, d, base=10000.0):
+    """exp(i * angle) per token and column pair: the pairs split (t, h, w) as
+    (rest, d/8, d/8) (at least one each), and pair j of an axis group of p
+    pairs turns by coordinate * base**(-j / p)."""
+    pairs = d // 2
+    p_h = p_w = max(1, pairs // 4)
+    groups = ((0, pairs - p_h - p_w), (1, p_h), (2, p_w))
+    _, h_dim, w_dim = grid_shape
+    turns = []
+    for i in range(grid_shape[0] * h_dim * w_dim):
+        coords = (i // (h_dim * w_dim), (i // w_dim) % h_dim, i % w_dim)
+        turns.append([coords[axis] * base ** (-j / p)
+                      for axis, p in groups for j in range(p)])
+    return np.exp(1j * np.array(turns))
+
+
+def _rotate_rows(mat, rope, rows):
+    """Column pairs (2j, 2j+1) of each row as complex numbers, turned by the
+    angles of the row's original position."""
+    if rope is None:
+        return mat
+    z = (mat[:, 0::2] + 1j * mat[:, 1::2]) * rope[rows]
+    out = np.empty_like(mat)
+    out[:, 0::2], out[:, 1::2] = z.real, z.imag
+    return out
+
+
+#: similarity gap within which two choices of a plan count as tied: rounding
+#: may order them either way
+TIE_MARGIN = 1e-9
+
+
+def _reference_match(tokens, dst, src, metric, rng):
+    """The whole (n_src, n_dst) similarity matrix (neg_euclidean by direct
+    differences) with `exhaustive_match`'s best destinations, best
+    similarities and reduction order."""
+    if metric == "neg_euclidean":
+        sims = np.array([-naive_distances(tokens[dst], tokens[i]) for i in src])
+    else:
+        sims = direct_similarities(tokens[src], tokens[dst], metric, rng)
+    return (sims, *exhaustive_match(sims))
+
+
+def _reference_plan(match, dst, src, rate, n, library_plan=None):
+    """Discard the floor(rate * n_src) sources ranked first; each stands in
+    for its best destination. Returns (kept, {discarded: representative}).
+
+    A `library_plan` that differs is adopted instead when it differs only
+    by ties within TIE_MARGIN: each of its discarded sources ranks within
+    the margin of the best kept one, and each representative within the
+    margin of its source's best destination. Rows that are equal up to
+    rounding tie like that, and rounding decides between them.
+    """
+    sims, best_dst, best_sim, order = match
+    rep_of = {src[i]: dst[best_dst[i]]
+              for i in order[:math.floor(rate * len(src))]}
+    if library_plan is not None:
+        theirs = {int(i): int(r) for i, r in zip(library_plan.discarded,
+                                                  library_plan.reps)}
+        if theirs != rep_of:
+            position = {idx: pos for pos, idx in enumerate(src)}
+            dst_position = {idx: pos for pos, idx in enumerate(dst)}
+            floor = max([best_sim[position[i]] for i in src if i not in theirs],
+                        default=-np.inf) - TIE_MARGIN
+            assert len(theirs) == len(rep_of), "plan discards the wrong count"
+            for i, r in theirs.items():
+                row = position[i]
+                assert best_sim[row] >= floor, f"plan discards {i} out of order"
+                assert sims[row, dst_position[r]] >= best_sim[row] - TIE_MARGIN, \
+                    f"plan gives {i} a representative {r} it does not tie with"
+            rep_of = theirs
+    return [i for i in range(n) if i not in rep_of], rep_of
+
+
+def _reference_reduce(tokens, plan, op):
+    kept, rep_of = plan
+    if op == "mean":
+        return mean_merge_rows(tokens, kept, rep_of)
+    return gather_rows(tokens, kept)
+
+
+def _reference_restore(reduced, plan, n):
+    """Row i of the result is the reduced row of i, or of its representative."""
+    kept, rep_of = plan
+    position = {idx: pos for pos, idx in enumerate(kept)}
+    out = np.empty((n, reduced.shape[1]))
+    for i in range(n):
+        out[i] = reduced[position[rep_of.get(i, i)]]
+    return out
+
+
+def _reference_attention(q, k, v, num_heads):
+    d_h, dv_h = q.shape[1] // num_heads, v.shape[1] // num_heads
+    return np.hstack([naive_attention(q[:, h * d_h:(h + 1) * d_h],
+                                      k[:, h * d_h:(h + 1) * d_h],
+                                      v[:, h * dv_h:(h + 1) * dv_h])
+                      for h in range(num_heads)])
+
+
+def reference_pipeline(cfg, profile, library_plans=None):
+    """The denoising loop of `run_pipeline`, written from its definitions.
+
+    Each step sets y = x, adds every block's attention output to y and then
+    sets x = x - 0.1 * y. Asymmetric blocks project y, rotate Q and K, match
+    and reduce Q by its plan and K/V by V's, attend and restore Q's rows;
+    symmetric blocks match and reduce y itself by the Q rule, project the
+    kept rows and rotate them by their original positions. A rule with no
+    entries reduces nothing and matches nothing; a rate is the one of the
+    largest threshold <= the profiled similarity (0 below all of them); a
+    matching is recomputed when t % cache_step == 0 and reused otherwise.
+
+    `library_plans`, when given, are the plans the library built, in the
+    order it built them; a reference plan gives way to one that differs
+    from it only by ties (see `_reference_plan`). Returns the final tokens
+    and one record per (t, b): its rates, m_q, m_kv and recomputed features.
+    """
+    x, weights, rng_parts, rng_match = _reference_inputs(cfg)
+    n = cfg.n_tokens
+    rules = cfg.schedule.rules if cfg.schedule is not None else {}
+    pairs = {"none": [], "sym": [("H", "Q")],
+             "asym": [("Q", "Q"), ("V", "V")]}[cfg.rnr_mode]
+    pairs = [(feature, rule) for feature, rule in pairs if rules.get(rule)]
+    sym = cfg.rnr_mode == "sym" and bool(pairs)
+    parts = [_reference_partition(cfg.grid_shape, cfg.stride, rng_parts)
+             for _ in range(cfg.num_blocks)] if pairs else None
+    rope = _reference_rope(cfg.grid_shape, cfg.feature_dim) if cfg.rope else None
+    everything = list(range(n))
+    matches = {}
+    records = []
+    library_plans = iter(library_plans or [])
+    for t in range(cfg.num_timesteps):
+        y = x
+        for b in range(cfg.num_blocks):
+            w_q, w_k, w_v = weights[b]
+            feats = {"H": y}
+            if not sym:
+                feats.update(Q=_rotate_rows(y @ w_q, rope, everything),
+                             K=_rotate_rows(y @ w_k, rope, everything), V=y @ w_v)
+            rates, recomputed, plans = {}, [], {}
+            for feature, rule in pairs:
+                sim = profile.get(rule, t, b)
+                passed = [(thr, r) for thr, r in rules[rule] if thr <= sim]
+                rates[feature] = max(passed)[1] if passed else 0.0
+                if t % cfg.schedule.cache_step == 0:
+                    matches[feature, b] = _reference_match(
+                        feats[feature], *parts[b], cfg.metric, rng_match)
+                    recomputed.append(feature)
+                if rates[feature] > 0.0:
+                    plans[feature] = _reference_plan(
+                        matches[feature, b], *parts[b], rates[feature], n,
+                        next(library_plans, None))
+            if sym:
+                plan_q = plans.get("H")
+                h, rows = y, everything
+                if plan_q is not None:
+                    h, rows = _reference_reduce(y, plan_q, cfg.reduce_op), plan_q[0]
+                q = _rotate_rows(h @ w_q, rope, rows)
+                k = _rotate_rows(h @ w_k, rope, rows)
+                v = h @ w_v
+            else:
+                plan_q, plan_kv = plans.get("Q"), plans.get("V")
+                q, k, v = feats["Q"], feats["K"], feats["V"]
+                if plan_q is not None:
+                    q = _reference_reduce(q, plan_q, cfg.reduce_op)
+                if plan_kv is not None:
+                    k = _reference_reduce(k, plan_kv, cfg.reduce_op)
+                    v = _reference_reduce(v, plan_kv, cfg.reduce_op)
+            out = _reference_attention(q, k, v, cfg.num_heads)
+            if plan_q is not None:
+                out = _reference_restore(out, plan_q, n)
+            y = y + out
+            records.append({"t": t, "b": b, "rates": rates,
+                            "m_q": len(q), "m_kv": len(k),
+                            "recomputed": tuple(recomputed)})
+        x = x - 0.1 * y
+    return x, records

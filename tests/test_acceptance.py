@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from tokenrnr.core import make_rng
 from tokenrnr.klnn import kl_estimate, score_reduction
@@ -15,7 +16,7 @@ from tokenrnr.matching import partition_3d, pairwise_best_match
 from tokenrnr.pipeline import (PipelineConfig, attn_asym_rnr, attn_sym_rnr,
                                run_pipeline)
 from tokenrnr.rnr import attn_plain, build_plan
-from tokenrnr.schedule import (MatchingCache, ScheduleConfig, TuneStep,
+from tokenrnr.schedule import (ScheduleConfig, TuneStep,
                                cached_match, lookup_rate, tune_schedule)
 
 from oracles import direct_similarities, exhaustive_match, identity_plan
@@ -57,6 +58,7 @@ def test_criterion_01_partition_ratio_reproduction():
            f"{budget.elapsed:.2f}s")
 
 
+@pytest.mark.slow
 def test_criterion_02_toy_pipeline_speedup_and_mac_parity():
     # Model-level speedups from full video models are not reproducible at
     # desk scale; the substitute is the pinned 16384-token pipeline. The
@@ -213,12 +215,12 @@ def test_criterion_07_matching_cache_law():
         step_tokens = [make_rng(500 + t).standard_normal((part.n_tokens, 6))
                        for t in range(30)]
         for s in range(1, 7):
-            cache = MatchingCache(cache_step=s)
+            cache = {}
             for feature in ("Q", "V"):
                 for block in range(2):
                     fresh_count = 0
                     for t in range(30):
-                        res, fresh = cached_match(cache, feature, block, t,
+                        res, fresh = cached_match(cache, s, feature, block, t,
                                                   step_tokens[t], part,
                                                   "neg_euclidean")
                         fresh_count += fresh

@@ -378,6 +378,22 @@ class TestKlcheckCommand:
         assert set(report["bias_sweep_mean_abs_error"]) == {"500", "1000",
                                                             "2000", "4000"}
 
+    @pytest.mark.parametrize("argv", [
+        ["--dim", "10000000"],
+        ["--dim", "2", "--samples", "134217729"],
+        ["--dim", "67109", "--samples", "2"],  # 4000 sweep samples x 67109 > 2^28
+    ], ids=" ".join)
+    def test_oversized_sample_matrix_exits_2_before_any_draw(
+            self, tmp_path, monkeypatch, capsys, argv):
+        import tokenrnr.cli as cli
+        draws = []
+        monkeypatch.setattr(cli, "make_rng", draws.append)
+        out = tmp_path / "kl.json"
+        assert main(["klcheck", *argv, "--out", str(out)]) == 2
+        assert draws == [] and not out.exists()
+        err = capsys.readouterr().err
+        assert "--samples" in err and "--dim" in err
+
 
 class TestNormstatsCommand:
     def test_schema_one_row_per_lattice_point(self, cfg_path, tmp_path):
@@ -523,6 +539,17 @@ class TestFlagsAndPaths:
                    "--repeat", "1", "--warmup", "0"])
         assert rc == 2
         assert "do not cover" in capsys.readouterr().err
+
+    def test_config_profiling_flag_is_ignored(self, tmp_path, schedule_path):
+        macs = []
+        for profiling in (False, True):
+            cfg = tmp_path / f"profiling_{profiling}.json"
+            cfg.write_text(json.dumps({**SMALL_CFG, "profiling": profiling}))
+            out = tmp_path / f"b_{profiling}.csv"
+            assert main(["bench", "--config", str(cfg), "--schedule", schedule_path,
+                         "--out", str(out), "--repeat", "1", "--warmup", "0"]) == 0
+            macs.append([row["total_macs"] for row in read_csv(out)])
+        assert macs[0] == macs[1]
 
     def test_bench_report_carries_norm_records(self, tmp_path):
         cfg = tmp_path / "norms.json"

@@ -4,14 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokenrnr import pipeline as pipeline_mod
 from tokenrnr import schedule as schedule_mod
 from tokenrnr.core import make_rng
 from tokenrnr.errors import ConfigError, InvariantError
 from tokenrnr.pipeline import (PipelineConfig, inject_duplicates,
-                               row_norm_percentiles, run_pipeline)
+                               row_norm_percentiles, run_pipeline,
+                               unreduced_profile)
 from tokenrnr.schedule import ScheduleConfig
+
+from oracles import reference_pipeline
 
 
 def small_cfg(**overrides):
@@ -26,6 +31,47 @@ def aggressive_schedule(**overrides):
               stride=(2, 2, 2), metric="neg_euclidean")
     kw.update(overrides)
     return ScheduleConfig(**kw)
+
+
+RATES = st.sampled_from([0.0, 0.25, 0.5, 0.8])
+
+
+@given(mode=st.sampled_from(["none", "sym", "asym"]), num_heads=st.integers(1, 2),
+       rope=st.booleans(), reduce_op=st.sampled_from(["discard", "mean"]),
+       metric=st.sampled_from(["neg_euclidean", "cosine", "dot", "random"]),
+       duplicates=st.sampled_from([0.0, 0.3]), cache_step=st.integers(1, 3),
+       q_rates=st.lists(RATES, min_size=2, max_size=2), v_rate=RATES,
+       v_threshold=st.sampled_from([0.0, 0.4, 0.7]), seed=st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_run_matches_reference_pipeline(mode, num_heads, rope, reduce_op, metric,
+                                        duplicates, cache_step, q_rates, v_rate,
+                                        v_threshold, seed):
+    """Final tokens lie within 1e-10 of the reference and the records are
+    equal. The run's plans go to the reference, which takes one over its own
+    only where the two differ by ties: duplicate rows, which rounding in
+    attention can leave one last bit apart, tie like that."""
+    rules = {"Q": list(zip((0.0, 0.5), sorted(q_rates)))}
+    if mode != "sym":
+        rules["V"] = [(v_threshold, v_rate)]
+    cfg = small_cfg(num_timesteps=5, num_heads=num_heads, seed=seed, rnr_mode=mode,
+                    rope=rope, reduce_op=reduce_op, duplicate_fraction=duplicates,
+                    schedule=ScheduleConfig(rules=rules, cache_step=cache_step,
+                                            metric=metric))
+    profile = unreduced_profile(cfg) if cfg.scheduled else None
+    plans = []
+    real_build_plan = pipeline_mod.build_plan
+
+    def recording_build_plan(*args):
+        plans.append(real_build_plan(*args))
+        return plans[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline_mod, "build_plan", recording_build_plan)
+        report = run_pipeline(cfg, profile)
+    final_tokens, records = reference_pipeline(cfg, profile, plans)
+    assert np.abs(report.final_tokens - final_tokens).max() <= 1e-10
+    assert [{"t": r.t, "b": r.b, "rates": r.rates, "m_q": r.m_q, "m_kv": r.m_kv,
+             "recomputed": r.recomputed} for r in report.records] == records
 
 
 class TestDeterminismAndEquivalence:

@@ -112,6 +112,19 @@ class TestReduceRestore:
         kept_pos = list(plan.kept).index(1)
         assert np.array_equal(reduced[kept_pos], tokens[1])
 
+    def test_row_map_is_shared_and_inputs_stay_untouched(self):
+        rng = make_rng(8)
+        tokens = rng.standard_normal((6, 3))
+        plan = single_rep_plan(6, discard=4, rep=1)
+        assert plan.row_map is plan.row_map
+        assert list(plan.row_map) == [0, 1, 2, 3, 1, 4]
+        with pytest.raises(ValueError):
+            plan.row_map[0] = 1
+        before = tokens.copy()
+        reduced = reduce_tokens(tokens, plan, "mean")
+        restore_tokens(reduced, plan)
+        assert np.array_equal(tokens, before)
+
     def test_reduce_against_gather_and_mean_oracles(self):
         rng = make_rng(7)
         tokens = rng.standard_normal((9, 5))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from tokenrnr.core import make_rng
 from tokenrnr.errors import ConfigError
 from tokenrnr.matching import partition_3d, pairwise_best_match
-from tokenrnr.schedule import (MatchingCache, ScheduleConfig, SimilarityProfile,
+from tokenrnr.schedule import (ScheduleConfig, SimilarityProfile,
                                TuneStep, cached_match, lookup_rate,
                                record_profile, tune_schedule)
 
@@ -180,13 +180,13 @@ class TestMatchingCache:
     def run_steps(self, cache_step, num_steps, redraw_tokens=False):
         rng = make_rng(0)
         part = partition_3d((2, 4, 4), (2, 2, 2), rng)
-        cache = MatchingCache(cache_step=cache_step)
+        cache = {}
         results = []
         for t in range(num_steps):
             tokens = make_rng(1000 + (t if redraw_tokens else 0)).standard_normal(
                 (part.n_tokens, 4))
-            res, fresh = cached_match(cache, "V", 0, t, tokens, part,
-                                      "neg_euclidean")
+            res, fresh = cached_match(cache, cache_step, "V", 0, t, tokens,
+                                      part, "neg_euclidean")
             results.append((res, fresh, tokens))
         return cache, results, part
 
@@ -221,12 +221,12 @@ class TestMatchingCache:
         rng = make_rng(2)
         part = partition_3d((2, 2, 2), (2, 2, 2), rng)
         tokens = rng.standard_normal((part.n_tokens, 3))
-        cache = MatchingCache(cache_step=5)
-        _, fresh = cached_match(cache, "Q", 0, 7, tokens, part, "neg_euclidean")
+        cache = {}
+        _, fresh = cached_match(cache, 5, "Q", 0, 7, tokens, part, "neg_euclidean")
         assert fresh  # nothing stored yet
-        _, fresh = cached_match(cache, "Q", 0, 8, tokens, part, "neg_euclidean")
+        _, fresh = cached_match(cache, 5, "Q", 0, 8, tokens, part, "neg_euclidean")
         assert fresh  # stored entry is not from this window's start
-        _, fresh = cached_match(cache, "Q", 0, 9, tokens, part, "neg_euclidean")
+        _, fresh = cached_match(cache, 5, "Q", 0, 9, tokens, part, "neg_euclidean")
         assert fresh
 
 

@@ -4,7 +4,9 @@ Matrices are plain 2-D numpy arrays (row-major, float64 by default). Operations
 validate shapes eagerly, and the stabilized operations keep finite inputs
 finite. The tokens of a (T, H, W) grid are the rows of one matrix, flattened
 t-major: grid position (t, h, w) is row ((t * H) + h) * W + w. All
-partitioning and stride logic in this package relies on that order.
+partitioning and stride logic in this package relies on that order. The 3D
+rotary embedding is a complex rotation: column pair (2j, 2j+1) of a row is the
+complex number x_2j + i x_2j+1, turned by an angle of the row's coordinate.
 
 Randomness goes through `make_rng` / `spawn_rngs`, which wrap numpy's PCG64
 generator: the same seed yields the same stream on every platform.
@@ -81,8 +83,9 @@ def _rope_axis_pairs(feature_dim: int) -> tuple[int, int, int]:
 
 
 def rope3d_tables(shape: tuple[int, int, int], feature_dim: int,
-                  base: float = 10000.0) -> tuple[np.ndarray, np.ndarray]:
-    """Per-token (cos, sin) tables of shape (n, d/2), one angle per rotation pair.
+                  base: float = 10000.0) -> np.ndarray:
+    """Per-token complex rotations cos + i sin, shape (n, d/2), one angle per
+    column pair.
 
     Angles depend only on the (t, h, w) coordinate of each token: pair j of an
     axis group with p pairs rotates by coordinate * base**(-j / p).
@@ -94,21 +97,19 @@ def rope3d_tables(shape: tuple[int, int, int], feature_dim: int,
         inv_freq = base ** (-np.arange(p_axis) / p_axis)
         angle_cols.append(coords[:, axis:axis + 1] * inv_freq[None, :])
     angles = np.concatenate(angle_cols, axis=1)
-    return np.cos(angles), np.sin(angles)
+    return np.cos(angles) + 1j * np.sin(angles)
 
 
-def apply_rope_tables(mat: Matrix, cos: np.ndarray, sin: np.ndarray) -> Matrix:
-    """Rotate adjacent column pairs (2j, 2j+1) of `mat` by precomputed tables."""
-    if mat.shape[0] != cos.shape[0] or mat.shape[1] != 2 * cos.shape[1]:
-        raise ValueError(f"table shape {cos.shape} does not match matrix {mat.shape}")
-    even = mat[:, 0::2]
-    odd = mat[:, 1::2]
-    out = np.empty_like(mat)
-    out_even = np.multiply(even, cos, out=out[:, 0::2])
-    out_even -= odd * sin
-    out_odd = np.multiply(even, sin, out=out[:, 1::2])
-    out_odd += odd * cos
-    return out
+def apply_rope_tables(mat: Matrix, rot: np.ndarray) -> Matrix:
+    """Rotary embedding: each column pair (2j, 2j+1) of a row, read as the
+    complex number x_2j + i x_2j+1, times the row's rotation rot[:, j].
+
+    Returns a new float64 matrix; `mat` is left as it was.
+    """
+    if mat.shape[0] != rot.shape[0] or mat.shape[1] != 2 * rot.shape[1]:
+        raise ValueError(f"table shape {rot.shape} does not match matrix {mat.shape}")
+    pairs = np.ascontiguousarray(mat, dtype=np.float64).view(np.complex128)
+    return (pairs * rot).view(np.float64)
 
 
 def pairwise_sq_dists(a: Matrix, b: Matrix,

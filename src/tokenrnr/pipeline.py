@@ -271,42 +271,38 @@ def row_norm_percentiles(mat: Matrix) -> dict:
 # benchmark's tracer patches those boundaries here and fails a traced pass
 # whose workload does not enter them.
 
-def _project(h: Matrix, weights, counter: flops.CostBreakdown | None):
-    """Q, K and V of the rows of h under the (w_q, w_k, w_v) weights."""
+def _project(h: Matrix, weights, rope: np.ndarray | None, rows,
+             counter: flops.CostBreakdown | None):
+    """Q, K and V of the rows of h under the (w_q, w_k, w_v) weights, Q and K
+    rotated by `rope` (when given) at the rows' original positions `rows`.
+    The one place a block forms Q, K and V."""
     if counter is not None:
         d = h.shape[1]
         counter.add(flops.CostBreakdown(projections=3 * h.shape[0] * d * d))
     w_q, w_k, w_v = weights
-    return h @ w_q, h @ w_k, h @ w_v
-
-
-def _rotate(x: Matrix, rope_tables, rows=slice(None)) -> Matrix:
-    """Rotary embedding of x, whose rows sit at the given original positions."""
-    if rope_tables is None:
-        return x
-    cos, sin = rope_tables
-    return apply_rope_tables(x, cos[rows], sin[rows])
+    q, k, v = h @ w_q, h @ w_k, h @ w_v
+    if rope is not None:
+        rot = rope[rows]
+        q, k = apply_rope_tables(q, rot), apply_rope_tables(k, rot)
+    return q, k, v
 
 
 def attn_sym_rnr(h: Matrix, weights, plan: ReductionPlan | None,
-                 op: str = "discard",
-                 rope_tables: tuple[np.ndarray, np.ndarray] | None = None,
+                 op: str = "discard", rope_tables: np.ndarray | None = None,
                  num_heads: int = 1,
                  counter: flops.CostBreakdown | None = None) -> Matrix:
     """Symmetric variant: reduce the shared input, project, attend, restore.
 
     Q, K, V are projected from the already-shortened sequence with the
-    (w_q, w_k, w_v) weights, so one plan governs all three. When rotary
-    tables are given, the kept rows are rotated by their original positions'
-    angles. A None plan reduces nothing.
+    (w_q, w_k, w_v) weights, so one plan governs all three. When the complex
+    rotary table of `rope3d_tables` is given, the kept rows are rotated by
+    their original positions' angles. A None plan reduces nothing.
     """
     rows = slice(None)
     if plan is not None:
         h = reduce_tokens(h, plan, op)
         rows = plan.kept
-    q, k, v = _project(h, weights, counter)
-    q = _rotate(q, rope_tables, rows)
-    k = _rotate(k, rope_tables, rows)
+    q, k, v = _project(h, weights, rope_tables, rows, counter)
     out = attn_plain(q, k, v, num_heads=num_heads, counter=counter)
     return out if plan is None else restore_tokens(out, plan)
 
@@ -389,7 +385,7 @@ def run_pipeline(cfg: PipelineConfig,
                 rng_weights.standard_normal((d, d)) / np.sqrt(d),
                 rng_weights.standard_normal((d, d)) / np.sqrt(d))
                for _ in range(cfg.num_blocks)]
-    rope_tabs = rope3d_tables(cfg.grid_shape, d) if cfg.rope else None
+    rope = rope3d_tables(cfg.grid_shape, d) if cfg.rope else None
 
     # one partition per block, drawn once: cached match results index it
     parts = None
@@ -414,9 +410,8 @@ def run_pipeline(cfg: PipelineConfig,
             # rebound before projecting, so the last block's Q, K, V are freed
             feats = {"H": y}
             if not sym:
-                q, k, v = _project(y, weights[b], measured)
-                q, k = _rotate(q, rope_tabs), _rotate(k, rope_tabs)
-                feats.update(Q=q, K=k, V=v)
+                feats.update(zip("QKV", _project(y, weights[b], rope, slice(None),
+                                                 measured)))
 
             if cfg.profiling:
                 for feature, toks in feats.items():
@@ -446,11 +441,11 @@ def run_pipeline(cfg: PipelineConfig,
             if sym:
                 plan_q = plan_kv = plans.get("H")
                 out = attn_sym_rnr(y, weights[b], plan_q, cfg.reduce_op,
-                                   rope_tabs, cfg.num_heads, measured)
+                                   rope, cfg.num_heads, measured)
             else:
                 plan_q, plan_kv = plans.get("Q"), plans.get("V")
-                out = attn_asym_rnr(q, k, v, plan_q, plan_kv, cfg.reduce_op,
-                                    cfg.num_heads, measured)
+                out = attn_asym_rnr(feats["Q"], feats["K"], feats["V"], plan_q,
+                                    plan_kv, cfg.reduce_op, cfg.num_heads, measured)
 
             if out.shape[0] != n:
                 raise InvariantError(f"block (t={t}, b={b}) output has "

@@ -255,14 +255,14 @@ def cached_match(cache: dict, cache_step: int, feature: str, block: int, t: int,
     """Match through `cache`, a dict a run keeps from (feature, block) to
     (result, step computed); returns (result, recomputed).
 
-    Recomputes when t is a multiple of the cache step, when no entry exists,
-    or when the stored entry was not computed at the start of t's cache
-    window, cache_step * floor(t / cache_step), mirroring the cadence of the
-    sampling loop.
+    An entry serves exactly the steps of the cache window whose first step,
+    cache_step * floor(t / cache_step), computed it; any other lookup
+    recomputes and stores the result with its step. In a loop of increasing
+    t that recomputes at every multiple of the cache step.
     """
     key = (feature, block)
     entry = cache.get(key)
-    if t % cache_step == 0 or entry is None or entry[1] != t - t % cache_step:
+    if entry is None or entry[1] != t - t % cache_step:
         result = pairwise_best_match(tokens, part, metric, rng)
         cache[key] = (result, t)
         return result, True

@@ -8,6 +8,8 @@ from tokenrnr.core import (apply_rope_tables, checksum_matrix,
                            rope3d_tables, row_softmax, spawn_rngs,
                            sq_dist_refine_scale)
 
+from oracles import _reference_rope, _rotate_rows
+
 
 def softmax(a):
     """The normalized softmax: row_softmax's numerators over their row sums."""
@@ -58,13 +60,13 @@ class TestRope:
     def test_origin_token_unchanged(self):
         rng = make_rng(1)
         mat = rng.standard_normal((8, 8))
-        out = apply_rope_tables(mat, *rope3d_tables((2, 2, 2), 8))
+        out = apply_rope_tables(mat, rope3d_tables((2, 2, 2), 8))
         assert np.array_equal(out[0], mat[0])
 
     def test_pair_norms_preserved(self):
         rng = make_rng(2)
         mat = rng.standard_normal((27, 10))
-        out = apply_rope_tables(mat, *rope3d_tables((3, 3, 3), 10))
+        out = apply_rope_tables(mat, rope3d_tables((3, 3, 3), 10))
         before = np.hypot(mat[:, 0::2], mat[:, 1::2])
         after = np.hypot(out[:, 0::2], out[:, 1::2])
         assert np.abs(before - after).max() <= 1e-12
@@ -74,21 +76,53 @@ class TestRope:
     def test_token_norms_preserved(self, seed):
         rng = make_rng(seed)
         mat = rng.standard_normal((12, 16)) * 3.0
-        out = apply_rope_tables(mat, *rope3d_tables((3, 2, 2), 16))
+        out = apply_rope_tables(mat, rope3d_tables((3, 2, 2), 16))
         assert np.abs(np.linalg.norm(out, axis=1)
                       - np.linalg.norm(mat, axis=1)).max() <= 1e-10
 
     def test_rotation_depends_only_on_coordinates(self):
         # the same (t, h, w) coordinate gets the same angles in any grid
-        cos_a, sin_a = rope3d_tables((3, 4, 5), 12)
-        cos_b, sin_b = rope3d_tables((2, 3, 4), 12)
+        rot_a = rope3d_tables((3, 4, 5), 12)
+        rot_b = rope3d_tables((2, 3, 4), 12)
         coords_a = grid_coordinates((3, 4, 5))
         coords_b = grid_coordinates((2, 3, 4))
         lookup = {tuple(c): i for i, c in enumerate(coords_a)}
         for i, c in enumerate(coords_b):
-            j = lookup[tuple(c)]
-            assert np.array_equal(cos_a[j], cos_b[i])
-            assert np.array_equal(sin_a[j], sin_b[i])
+            assert np.array_equal(rot_a[lookup[tuple(c)]], rot_b[i])
+
+    @pytest.mark.parametrize("d", [6, 10, 64])
+    @pytest.mark.parametrize("grid", [(1, 1, 4), (2, 3, 4), (5, 2, 3)])
+    def test_matches_complex_rotation_oracle(self, grid, d):
+        # d=6 is the smallest split (1, 1, 1); d=10 splits (3, 1, 1)
+        rng = make_rng(d)
+        n = grid[0] * grid[1] * grid[2]
+        rot, reference = rope3d_tables(grid, d), _reference_rope(grid, d)
+        every = np.arange(n)
+        subset = np.sort(rng.choice(n, size=max(1, n // 2), replace=False))
+        for rows in (every, subset):
+            x = rng.standard_normal((len(rows), d)) * 4.0
+            out = apply_rope_tables(x, rot[rows])
+            expected = _rotate_rows(x, reference, rows)
+            assert np.abs(out - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    def test_input_layout_and_contents_do_not_matter(self):
+        rng = make_rng(3)
+        rot = rope3d_tables((2, 2, 3), 8)
+        wide = rng.standard_normal((12, 11))
+        column_view = wide[:, 2:10]
+        expected = apply_rope_tables(column_view.copy(), rot)
+        before = wide.copy()
+        assert np.array_equal(apply_rope_tables(column_view, rot), expected)
+        assert np.array_equal(apply_rope_tables(np.asfortranarray(column_view), rot),
+                              expected)
+        assert np.array_equal(wide, before)
+
+    def test_shape_mismatch_rejected(self):
+        rot = rope3d_tables((2, 2, 2), 8)
+        with pytest.raises(ValueError, match="does not match"):
+            apply_rope_tables(np.zeros((8, 6)), rot)
+        with pytest.raises(ValueError, match="does not match"):
+            apply_rope_tables(np.zeros((7, 8)), rot)
 
     def test_odd_feature_dim_rejected(self):
         with pytest.raises(ValueError, match="even"):

@@ -258,11 +258,11 @@ class TestMultiHead:
         w_q, w_k, w_v = (rng.standard_normal((d, d)) for _ in range(3))
         assert np.array_equal(attn_asym_rnr(q, k, v, None, None, num_heads=2),
                               attn_plain(q, k, v, num_heads=2))
-        cos, sin = rope3d_tables(grid, d)
-        plain = attn_plain(apply_rope_tables(h @ w_q, cos, sin),
-                           apply_rope_tables(h @ w_k, cos, sin), h @ w_v, num_heads=2)
+        rot = rope3d_tables(grid, d)
+        plain = attn_plain(apply_rope_tables(h @ w_q, rot),
+                           apply_rope_tables(h @ w_k, rot), h @ w_v, num_heads=2)
         assert np.array_equal(attn_sym_rnr(h, (w_q, w_k, w_v), None,
-                                           rope_tables=(cos, sin), num_heads=2), plain)
+                                           rope_tables=rot, num_heads=2), plain)
 
 
 class TestSymRnr:

@@ -217,6 +217,16 @@ class TestMatchingCache:
             assert np.array_equal(res.best_sim, fresh_res.best_sim)
             assert np.array_equal(res.reduce_order, fresh_res.reduce_order)
 
+    def test_second_call_at_window_start_is_served(self):
+        rng = make_rng(3)
+        part = partition_3d((2, 2, 2), (2, 2, 2), rng)
+        tokens = rng.standard_normal((part.n_tokens, 3))
+        cache = {}
+        first, fresh = cached_match(cache, 5, "Q", 0, 5, tokens, part, "neg_euclidean")
+        assert fresh
+        again, fresh = cached_match(cache, 5, "Q", 0, 5, tokens, part, "neg_euclidean")
+        assert not fresh and again is first
+
     def test_out_of_band_entry_heals(self):
         rng = make_rng(2)
         part = partition_3d((2, 2, 2), (2, 2, 2), rng)

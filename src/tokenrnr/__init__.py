@@ -17,14 +17,14 @@ from .core import (Matrix, checksum_matrix, make_rng, pairwise_sq_dists,
 from .errors import ConfigError, InvariantError
 from .flops import CostBreakdown, cost_asym, cost_plain, cost_sym, macs_to_flops
 from .klnn import KlEstimate, kl_estimate, knn_distances, score_reduction
-from .matching import (MatchResult, Partition, partition_3d, pairwise_best_match,
-                       standardize_profile)
+from .matching import MatchResult, Partition, partition_3d, pairwise_best_match
 from .pipeline import (PipelineConfig, RunReport, attn_asym_rnr, attn_sym_rnr,
                        inject_duplicates, run_pipeline)
 from .rnr import (ReductionPlan, attn_plain, build_plan, reduce_tokens,
                   restore_tokens)
 from .schedule import (ScheduleConfig, SimilarityProfile, TuneResult, TuneStep,
-                       cached_match, lookup_rate, record_profile, tune_schedule)
+                       cached_match, lookup_rate, record_profile,
+                       standardize_profile, tune_schedule)
 
 __version__ = "0.1.0"
 

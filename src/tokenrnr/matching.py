@@ -1,5 +1,5 @@
-"""Bipartite soft matching: strided 3D partitioning, similarity metrics,
-best-destination matching, and similarity standardization.
+"""Bipartite soft matching: strided 3D partitioning, similarity metrics and
+best-destination matching.
 
 Tokens are split into destinations (one random token per complete stride
 chunk) and sources (everything else, including all tokens of incomplete
@@ -173,19 +173,3 @@ def pairwise_best_match(tokens: np.ndarray, part: Partition, metric: str = DEFAU
     return MatchResult(best_dst=best_dst, best_sim=best_sim,
                        reduce_order=reduce_order, num_evals=num_evals)
 
-
-def standardize_profile(raw) -> np.ndarray:
-    """Clamp to the [5th, 95th] percentile range, then min-max map onto [0, 1].
-
-    A constant input (clamp bounds coincide) maps everything to 0.5: a flat
-    profile is equally uninformative everywhere, and the midpoint avoids
-    always or never crossing downstream thresholds.
-    """
-    values = np.asarray(raw, dtype=np.float64)
-    if values.ndim != 1 or len(values) < 2:
-        raise ValueError("need a flat list of at least 2 values")
-    lo = np.percentile(values, 5)
-    hi = np.percentile(values, 95)
-    if hi == lo:
-        return np.full(len(values), 0.5)
-    return (np.clip(values, lo, hi) - lo) / (hi - lo)

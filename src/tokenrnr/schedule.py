@@ -3,7 +3,9 @@ and the iterative threshold/rate tuning heuristic.
 
 A similarity profile records, for every (feature, timestep, block) lattice
 point, the mean best-match similarity seen during a profiling run, then
-standardizes per feature onto [0, 1]. A schedule maps each feature to an
+standardizes per feature onto [0, 1]. Its constructors check every field and
+the lattice, so a profile built in Python meets the checks a file does.
+A schedule maps each feature to an
 ordered threshold -> rate table; at run time the rate of the largest
 threshold <= the profiled similarity applies (0, i.e. identity, below all
 thresholds). K always follows V's entry, so schedules only ever carry Q and V.
@@ -24,14 +26,13 @@ import numpy as np
 from .errors import (SCHEMA_VERSION, ConfigError, config_int, config_int_triple,
                      config_real, json_object, schema_fields)
 from .matching import DEFAULT_METRIC, METRICS, MatchResult, Partition, \
-    pairwise_best_match, standardize_profile
+    pairwise_best_match
 
 PROFILE_FEATURES = ("H", "Q", "K", "V")
 SCHEDULABLE_FEATURES = ("Q", "V")
 
 
-def _as_rule_list(mapping) -> list[tuple[float, float]]:
-    pairs = mapping.items() if isinstance(mapping, dict) else mapping
+def _as_rule_list(pairs) -> list[tuple[float, float]]:
     rules = sorted((config_real("threshold", t), config_real("rate", r))
                    for t, r in pairs)
     thresholds = [t for t, _ in rules]
@@ -121,6 +122,13 @@ class ProfileRecord:
     sim_p10: float
     sim_p90: float
 
+    def __post_init__(self):
+        # frozen, so the checked values are set through object.__setattr__
+        for name in ("t", "b"):
+            object.__setattr__(self, name, config_int(name, getattr(self, name)))
+        for name in ("sim_raw", "sim_std", "sim_p10", "sim_p90"):
+            object.__setattr__(self, name, config_real(name, getattr(self, name)))
+
 
 @dataclass
 class SimilarityProfile:
@@ -135,6 +143,15 @@ class SimilarityProfile:
     records: list[ProfileRecord]
 
     def __post_init__(self):
+        for name in ("num_timesteps", "num_blocks"):
+            setattr(self, name, config_int(name, getattr(self, name)))
+        for name in ("grid_shape", "stride"):
+            setattr(self, name, config_int_triple(name, getattr(self, name)))
+        if self.metric not in METRICS:
+            raise ConfigError(f"unknown metric {self.metric!r}")
+        if not isinstance(self.features, (list, tuple)):
+            raise ConfigError(f"features must be a list, got {self.features!r}")
+        self.features = tuple(self.features)
         if min(self.num_timesteps, self.num_blocks) < 1:
             raise ConfigError("profile num_timesteps and num_blocks must be >= 1, "
                               f"got {self.num_timesteps} and {self.num_blocks}")
@@ -173,28 +190,13 @@ class SimilarityProfile:
 
     @staticmethod
     def from_json(text: str) -> "SimilarityProfile":
+        """Read through the checking constructors; an unknown key is a ConfigError."""
         payload = json_object(text, "profile")
         try:
-            meta = payload["metadata"]
-            records = [ProfileRecord(
-                feature=r["feature"], t=config_int("t", r["t"]), b=config_int("b", r["b"]),
-                **{key: config_real(key, r[key])
-                   for key in ("sim_raw", "sim_std", "sim_p10", "sim_p90")})
-                for r in payload["records"]]
-            if meta["metric"] not in METRICS:
-                raise ConfigError(f"unknown metric {meta['metric']!r}")
-            if not isinstance(meta["features"], list):
-                raise ConfigError(f"features must be a list, got {meta['features']!r}")
             return SimilarityProfile(
-                num_timesteps=config_int("num_timesteps", meta["num_timesteps"]),
-                num_blocks=config_int("num_blocks", meta["num_blocks"]),
-                features=tuple(meta["features"]),
-                grid_shape=config_int_triple("grid_shape", meta["grid_shape"]),
-                stride=config_int_triple("stride", meta["stride"]),
-                metric=meta["metric"],
-                records=records,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+                **payload["metadata"],
+                records=[ProfileRecord(**r) for r in payload["records"]])
+        except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed profile JSON: {exc}") from exc
 
     @staticmethod
@@ -207,34 +209,44 @@ class SimilarityProfile:
             fh.write(self.to_json() + "\n")
 
 
+def standardize_profile(raw) -> np.ndarray:
+    """Clamp to the [5th, 95th] percentile range, then min-max map onto [0, 1].
+
+    A constant input or a single value (clamp bounds coincide) maps to 0.5: a
+    flat profile is equally uninformative everywhere, and the midpoint avoids
+    always or never crossing downstream thresholds.
+    """
+    values = np.asarray(raw, dtype=np.float64)
+    if values.ndim != 1 or len(values) == 0:
+        raise ValueError("need a flat, non-empty list of values")
+    lo = np.percentile(values, 5)
+    hi = np.percentile(values, 95)
+    if hi == lo:
+        return np.full(len(values), 0.5)
+    return (np.clip(values, lo, hi) - lo) / (hi - lo)
+
+
 def record_profile(raw_entries, *, num_timesteps: int, num_blocks: int,
                    grid_shape, stride, metric: str) -> SimilarityProfile:
     """Assemble a profile from raw (feature, t, b, mean, p10, p90) entries.
 
-    Standardization runs per feature across all (t, b) points. A feature with
-    a single lattice point, like a degenerate one-step one-block run, carries
-    no contrast and maps to 0.5, as a constant one does.
+    Standardization runs per feature across all its (t, b) points. Records
+    follow PROFILE_FEATURES order, then any other feature, each in entry
+    order; the profile returned checks them, so an empty run, an unknown or
+    missing feature and a non-finite value are all ConfigErrors.
     """
-    entries = list(raw_entries)
-    if not entries:
-        raise ConfigError("cannot build a profile from an empty run")
     by_feature: dict[str, list] = {f: [] for f in PROFILE_FEATURES}
-    for feature, t, b, raw, p10, p90 in entries:
-        if feature not in by_feature:
-            raise ConfigError(f"unexpected feature {feature!r} in profile entries")
-        by_feature[feature].append((t, b, float(raw), float(p10), float(p90)))
+    for entry in raw_entries:
+        by_feature.setdefault(entry[0], []).append(entry)
     records = []
-    for feature, rows in by_feature.items():
-        if not rows:
-            raise ConfigError(f"no entries recorded for feature {feature!r}")
-        raws = [r[2] for r in rows]
-        stds = standardize_profile(raws) if len(raws) > 1 else [0.5]
-        for (t, b, raw, p10, p90), std in zip(rows, stds):
+    for rows in filter(None, by_feature.values()):
+        stds = standardize_profile([row[3] for row in rows])
+        for (feature, t, b, raw, p10, p90), std in zip(rows, stds):
             records.append(ProfileRecord(feature=feature, t=t, b=b, sim_raw=raw,
-                                         sim_std=float(std), sim_p10=p10, sim_p90=p90))
+                                         sim_std=std, sim_p10=p10, sim_p90=p90))
     return SimilarityProfile(num_timesteps=num_timesteps, num_blocks=num_blocks,
-                             features=PROFILE_FEATURES, grid_shape=tuple(grid_shape),
-                             stride=tuple(stride), metric=metric, records=records)
+                             features=PROFILE_FEATURES, grid_shape=grid_shape,
+                             stride=stride, metric=metric, records=records)
 
 
 def lookup_rate(cfg: ScheduleConfig, profile: SimilarityProfile,

@@ -256,6 +256,9 @@ class TestBenchCommand:
         ("metadata", "num_timesteps", "-3"),
         # rejected by the record count before any lattice set is built
         ("metadata", "num_timesteps", "1000000000"),
+        # keys that `tokenrnr profile` does not write
+        ("metadata", "comment", '"hand-edited"'),
+        ("record", "comment", '"hand-edited"'),
     ])
     def test_bad_profile_value_exits_2(self, cfg_path, schedule_path, tmp_path,
                                        section, key, raw, capsys):

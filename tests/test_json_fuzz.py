@@ -1,6 +1,7 @@
 """Fuzz of the three JSON loaders: any JSON value in any one field of a valid
-config, schedule or profile gives an object or a ConfigError (exit code 2),
-never another exception (a traceback)."""
+config, schedule or profile (one of its records included), and an extra key
+in a profile record, gives an object or a ConfigError (exit code 2), never
+another exception (a traceback)."""
 import json
 
 from hypothesis import given, settings
@@ -59,3 +60,13 @@ def test_schedule_field(field, value):
 def test_profile_metadata_field(field, value):
     payload = {**PROFILE, "metadata": {**PROFILE["metadata"], field: value}}
     loads_or_config_error(SimilarityProfile.from_json, payload)
+
+
+@fuzz
+@given(st.integers(0, len(PROFILE["records"]) - 1),
+       st.sampled_from(sorted(PROFILE["records"][0])) | st.text(max_size=6),
+       json_values)
+def test_profile_record_field(index, field, value):
+    records = list(PROFILE["records"])
+    records[index] = {**records[index], field: value}
+    loads_or_config_error(SimilarityProfile.from_json, {**PROFILE, "records": records})

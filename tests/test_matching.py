@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from tokenrnr import matching
 from tokenrnr.core import make_rng
-from tokenrnr.matching import (Partition, partition_3d, pairwise_best_match,
-                               standardize_profile)
+from tokenrnr.matching import Partition, partition_3d, pairwise_best_match
+from tokenrnr.schedule import standardize_profile
 
 from oracles import (direct_similarities, exhaustive_match,
                      sorted_percentile_standardize)
@@ -256,6 +256,10 @@ class TestStandardize:
                 if raw[i] < raw[j]:
                     assert out[i] < out[j]
 
+    def test_single_value_maps_to_half(self):
+        # no contrast, as with a constant input
+        assert np.array_equal(standardize_profile([-3.7]), np.full(1, 0.5))
+
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
-            standardize_profile([1.0])
+            standardize_profile([])

@@ -141,7 +141,7 @@ class TestProfile:
         assert prof.get("K", 0, 0) == 1.0  # negated ramp standardizes reversed
 
     def test_empty_run_rejected(self):
-        with pytest.raises(ConfigError, match="empty"):
+        with pytest.raises(ConfigError, match="0 records"):
             record_profile([], num_timesteps=1, num_blocks=1,
                            grid_shape=(2, 2, 2), stride=(2, 2, 2),
                            metric="neg_euclidean")
@@ -164,6 +164,28 @@ class TestProfile:
                    for r in prof.records]
         with pytest.raises(ConfigError, match="features"):
             dataclasses.replace(prof, features=("H", "Q", "K", "X"), records=records)
+
+    @pytest.mark.parametrize("field, value", [
+        ("metric", "bogus"), ("features", "HQKV"), ("num_timesteps", "3")])
+    def test_python_built_profile_checks_its_fields(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            dataclasses.replace(fixed_profile(), **{field: value})
+
+    @pytest.mark.parametrize("field, value", [("t", 0.5), ("sim_std", math.nan)])
+    def test_python_built_record_checks_its_fields(self, field, value):
+        record = fixed_profile().records[0]
+        with pytest.raises(ConfigError, match=f"^{field} must"):
+            dataclasses.replace(record, **{field: value})
+
+    def test_nan_mean_rejected(self):
+        # one NaN would make the feature's whole standardized profile NaN,
+        # where lookup_rate's bisect gives the top rate at every step
+        entries = [(f, t, 0, math.nan if (f, t) == ("Q", 1) else 0.1 * t, 0.0, 1.0)
+                   for f in ("H", "Q", "K", "V") for t in range(3)]
+        with pytest.raises(ConfigError, match="finite"):
+            record_profile(entries, num_timesteps=3, num_blocks=1,
+                           grid_shape=(2, 2, 2), stride=(2, 2, 2),
+                           metric="neg_euclidean")
 
     def test_json_round_trip_is_byte_stable(self, tmp_path):
         prof = profile_with({"Q": 0.25})

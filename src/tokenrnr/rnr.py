@@ -9,7 +9,8 @@ with fixed-length pipelines.
 The two RnR operators built from these pieces (`attn_sym_rnr`,
 `attn_asym_rnr`) live in `pipeline`, which runs them for every block. Both
 end in `attn_plain`, so with no plan they are bitwise identical to plain
-attention.
+attention. `attn_plain` is where nearly all of a dense run's time goes; each
+chunk of its scores costs one GEMM, one exp and one GEMM.
 """
 from __future__ import annotations
 
@@ -19,16 +20,22 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Matrix, row_softmax, row_sums
+from .core import Matrix, row_softmax
 from .flops import SOFTMAX_COST_PER_ENTRY, CostBreakdown
 from .matching import MatchResult, Partition
 
 REDUCE_OPS = ("discard", "mean")
 
 #: cap on score-matrix entries held at once by the chunked attention core
-#: (2^22 float64 entries = 32 MiB; 2^25 and 2^18 were both slower on a
-#: 2-core AVX-512 host with OpenBLAS)
-_ATTN_CHUNK_ELEMS = 1 << 22
+#: (2^21 float64 entries = 16 MiB). Median seconds of one n x 64 block for
+#: 2^23/2^22/2^21/2^20/2^19 entries on a 2-core AVX-512 host with OpenBLAS:
+#: 0.38/0.32/0.30/0.32/0.38 at n = 8192, 1.47/1.33/1.15/1.66/1.59 at 16384
+_ATTN_CHUNK_ELEMS = 1 << 21
+
+#: a row whose fixed-shift numerators sum to no more than e^-600 is recomputed
+#: with the exact max shift; above it, the terms lost to underflow (each below
+#: e^-745) stay under e^-135 of the row's largest numerator
+_FIXED_SHIFT_FLOOR = math.exp(-600.0)
 
 
 @dataclass(frozen=True)
@@ -120,9 +127,17 @@ def attn_plain(q: Matrix, k: Matrix, v: Matrix, num_heads: int = 1,
 
     Computed in row chunks so the full score matrix is never materialized;
     chunk size is a function of the shapes alone, keeping runs reproducible.
-    Every chunk of every head reuses one score buffer, the softmax numerators
-    are formed in place on it, and the rows are normalized after the product
-    with V, on m_q x d_v entries instead of m_q x m_kv.
+    Each chunk costs one GEMM, one exp and one GEMM on a reused score buffer:
+    - Row i is shifted by c_i = |q_i| max_j |k_j|, which bounds its scores from
+      above (Cauchy-Schwarz), so no numerator overflows. The shift is known
+      before the product and rides in it as one more column:
+      [q_i, -c_i] . [k_j, 1].
+    - A ones column appended to V makes the product with V return each row's
+      sum with it; rows are normalized by one divide on m_q x d_v entries.
+    - A row whose numerators sum to no more than `_FIXED_SHIFT_FLOOR` (the
+      bound overshot its max so far that they underflow) is recomputed with
+      the exact max shift.
+    With one key the softmax is identically 1, and every row is V's row.
     """
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
         raise ValueError("attention expects 2-D Q, K, V")
@@ -139,19 +154,39 @@ def attn_plain(q: Matrix, k: Matrix, v: Matrix, num_heads: int = 1,
         counter.add(CostBreakdown(qk_matmul=m_q * m_kv * d,
                                   av_matmul=m_q * m_kv * d_v,
                                   softmax=SOFTMAX_COST_PER_ENTRY * m_q * m_kv * num_heads))
+    out = np.empty((m_q, d_v), dtype=np.result_type(q, k, v))
+    if m_kv == 1:
+        out[:] = v
+        return out
     d_h, dv_h = d // num_heads, d_v // num_heads
     chunk = max(1, min(m_q, _ATTN_CHUNK_ELEMS // max(1, m_kv)))
     scores = np.empty((chunk, m_kv), dtype=np.result_type(q, k))
-    out = np.empty((m_q, d_v), dtype=np.result_type(q, k, v))
+    # [q_h / sqrt(d_h), -c] and [k_h, 1]; [v_h, 1] and its product's buffer
+    q_ext = np.empty((m_q, d_h + 1), dtype=scores.dtype)
+    k_ext = np.empty((m_kv, d_h + 1), dtype=scores.dtype)
+    v_ext = np.empty((m_kv, dv_h + 1), dtype=out.dtype)
+    o_ext = np.empty((chunk, dv_h + 1), dtype=out.dtype)
+    q_h, k_h, c = q_ext[:, :d_h], k_ext[:, :d_h], q_ext[:, d_h]
+    k_ext[:, d_h] = 1.0
+    v_ext[:, dv_h] = 1.0
     for h in range(num_heads):
-        q_h = q[:, h * d_h:(h + 1) * d_h] * (1.0 / math.sqrt(d_h))
-        kt = k[:, h * d_h:(h + 1) * d_h].T
-        v_h = v[:, h * dv_h:(h + 1) * dv_h]
+        np.multiply(q[:, h * d_h:(h + 1) * d_h], 1.0 / math.sqrt(d_h), out=q_h)
+        k_h[...] = k[:, h * d_h:(h + 1) * d_h]
+        v_ext[:, :dv_h] = v[:, h * dv_h:(h + 1) * dv_h]
+        np.sqrt(np.einsum("ij,ij->i", q_h, q_h), out=c)
+        c *= -math.sqrt(np.einsum("ij,ij->i", k_h, k_h).max(initial=0.0))
         out_h = out[:, h * dv_h:(h + 1) * dv_h]
         for i in range(0, m_q, chunk):
             s = scores[:min(chunk, m_q - i)]
-            o = out_h[i:i + chunk]
-            np.matmul(q_h[i:i + chunk], kt, out=s)
-            np.matmul(row_softmax(s, out=s), v_h, out=o)
-            o /= row_sums(s)[:, None]
+            o = o_ext[:len(s)]
+            np.matmul(q_ext[i:i + chunk], k_ext.T, out=s)
+            np.matmul(row_softmax(s, out=s, shift=False), v_ext, out=o)
+            with np.errstate(divide="ignore", invalid="ignore"):   # rows redone below
+                np.divide(o[:, :dv_h], o[:, dv_h:], out=out_h[i:i + chunk])
+            low = i + np.flatnonzero(~(o[:, dv_h] > _FIXED_SHIFT_FLOOR))
+            if len(low):
+                s, o = scores[:len(low)], o_ext[:len(low)]
+                np.matmul(q_h[low], k_h.T, out=s)
+                np.matmul(row_softmax(s, out=s), v_ext, out=o)
+                out_h[low] = o[:, :dv_h] / o[:, dv_h:]
     return out

@@ -192,6 +192,9 @@ class SimilarityProfile:
     def from_json(text: str) -> "SimilarityProfile":
         """Read through the checking constructors; an unknown key is a ConfigError."""
         payload = json_object(text, "profile")
+        unknown = set(payload) - {"metadata", "records"}
+        if unknown:
+            raise ConfigError(f"unknown profile keys: {sorted(unknown)}")
         try:
             return SimilarityProfile(
                 **payload["metadata"],

@@ -259,13 +259,15 @@ class TestBenchCommand:
         # keys that `tokenrnr profile` does not write
         ("metadata", "comment", '"hand-edited"'),
         ("record", "comment", '"hand-edited"'),
+        ("top", "note", '"x"'),
     ])
     def test_bad_profile_value_exits_2(self, cfg_path, schedule_path, tmp_path,
                                        section, key, raw, capsys):
         prof_path = tmp_path / "prof.json"
         main(["profile", "--config", cfg_path, "--out", str(prof_path)])
         payload = json.loads(prof_path.read_text())
-        target = payload["metadata"] if section == "metadata" else payload["records"][0]
+        target = {"metadata": payload["metadata"], "record": payload["records"][0],
+                  "top": payload}[section]
         target[key] = "RAW"
         prof_path.write_text(json.dumps(payload).replace('"RAW"', raw))
         rc = main(["bench", "--config", cfg_path, "--schedule", schedule_path,

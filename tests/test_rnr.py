@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,15 @@ def toy_match(seed=0, shape=(2, 2, 2), stride=(2, 2, 1), d=4,
     part = partition_3d(shape, stride, rng)
     tokens = rng.standard_normal((part.n_tokens, d))
     return tokens, part, pairwise_best_match(tokens, part, metric, rng)
+
+
+def per_head_oracle(q, k, v, num_heads):
+    """naive_attention on each head's column block, side by side."""
+    d_h, dv_h = q.shape[1] // num_heads, v.shape[1] // num_heads
+    return np.concatenate(
+        [naive_attention(q[:, h * d_h:(h + 1) * d_h], k[:, h * d_h:(h + 1) * d_h],
+                         v[:, h * dv_h:(h + 1) * dv_h])
+         for h in range(num_heads)], axis=1)
 
 
 def single_rep_plan(n, discard, rep):
@@ -207,6 +217,46 @@ class TestAttnPlain:
         want = (weights / weights.sum(axis=1, keepdims=True)) @ v
         assert np.abs(attn_plain(q, k, v) - want).max() <= 1e-12
 
+    @pytest.mark.parametrize("num_heads", [1, 4])
+    def test_one_long_key_falls_back_to_the_exact_shift(self, num_heads):
+        # the long key makes the Cauchy-Schwarz shift overshoot every row's
+        # max so far that all fixed-shift numerators underflow
+        rng = make_rng(18)
+        q = rng.standard_normal((12, 16)) * 40.0
+        k = rng.standard_normal((20, 16)) * 40.0
+        k[7] *= 50.0
+        v = rng.standard_normal((20, 8))
+        got = attn_plain(q, k, v, num_heads=num_heads)
+        assert np.isfinite(got).all()
+        assert np.abs(got - per_head_oracle(q, k, v, num_heads)).max() <= 1e-12
+
+    @given(st.integers(0, 10_000), st.floats(0.1, 500.0), st.integers(1, 4),
+           st.integers(1, 12), st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_oracle_at_any_magnitude(self, seed, magnitude, num_heads,
+                                                 m_q, m_kv):
+        rng = make_rng(seed)
+        q = rng.standard_normal((m_q, 4 * num_heads)) * magnitude
+        k = rng.standard_normal((m_kv, 4 * num_heads))
+        v = rng.standard_normal((m_kv, 2 * num_heads))
+        got = attn_plain(q, k, v, num_heads=num_heads)
+        assert np.abs(got - per_head_oracle(q, k, v, num_heads)).max() <= 1e-12
+
+    def test_working_set_is_the_score_chunk_and_five_thin_matrices(self):
+        # the score chunk plus Q, K and V with one more column each, the
+        # output, and a margin: a regrown working set shows here before it
+        # shows in a benchmark's peak RSS
+        n, d = 8192, 64
+        rng = make_rng(19)
+        q, k, v = (rng.standard_normal((n, d)) for _ in range(3))
+        tracemalloc.start()
+        try:
+            attn_plain(q, k, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (rnr._ATTN_CHUNK_ELEMS + 5 * n * (d + 1))
+
     def test_counter_categories(self):
         counter = CostBreakdown()
         rng = make_rng(13)
@@ -232,13 +282,8 @@ class TestMultiHead:
         q = rng.standard_normal((9, 8))
         k = rng.standard_normal((13, 8))
         v = rng.standard_normal((13, 12))
-        d_h, dv_h = 8 // num_heads, 12 // num_heads
-        want = np.concatenate(
-            [naive_attention(q[:, h * d_h:(h + 1) * d_h], k[:, h * d_h:(h + 1) * d_h],
-                             v[:, h * dv_h:(h + 1) * dv_h])
-             for h in range(num_heads)], axis=1)
         got = attn_plain(q, k, v, num_heads=num_heads)
-        assert np.abs(got - want).max() <= 1e-12
+        assert np.abs(got - per_head_oracle(q, k, v, num_heads)).max() <= 1e-12
 
     @pytest.mark.parametrize("num_heads", [1, 2, 4])
     def test_counter_matches_cost_model(self, num_heads):

@@ -187,6 +187,12 @@ class TestProfile:
                            grid_shape=(2, 2, 2), stride=(2, 2, 2),
                            metric="neg_euclidean")
 
+    def test_unknown_top_level_key_rejected(self):
+        payload = json.loads(profile_with({"Q": 0.25}).to_json())
+        payload["note"] = "x"
+        with pytest.raises(ConfigError, match="note"):
+            SimilarityProfile.from_json(json.dumps(payload))
+
     def test_json_round_trip_is_byte_stable(self, tmp_path):
         prof = profile_with({"Q": 0.25})
         text = prof.to_json()

@@ -111,44 +111,48 @@ def apply_rope_tables(mat: Matrix, rot: np.ndarray) -> Matrix:
     return (pairs * rot).view(np.float64)
 
 
-def pairwise_sq_dists(a: Matrix, b: Matrix,
+def row_sq_norms(a: Matrix) -> np.ndarray:
+    """Squared L2 norm of each row of `a`: the norms `pairwise_sq_dists`
+    expands with, so a caller that passes them in gets the same bits."""
+    return np.einsum("ij,ij->i", a, a)
+
+
+def pairwise_sq_dists(a: Matrix, b: Matrix, b_sq_norms: np.ndarray | None = None,
                       refine_scale: float | None = None) -> np.ndarray:
     """All-pairs squared Euclidean distances between rows of `a` and rows of `b`.
 
-    Uses the |x|^2 + |y|^2 - 2 x.y expansion for speed, then recomputes
+    Uses the (|x|^2 + |y|^2) - 2 x.y expansion for speed, then recomputes
     near-zero entries with the direct difference formula so that coincident
     rows yield exactly 0.0 (the expansion alone can leave cancellation noise).
     An entry counts as near zero at or below `_SQDIST_REFINE_REL` times
-    `refine_scale`, which defaults to `sq_dist_refine_scale(a, b)`. A caller
-    that splits `a` into row blocks passes the scale of the whole set, so
-    every block refines the same entries.
+    `refine_scale`, which defaults to the largest squared row norm of `a` plus
+    that of `b`, the magnitude the cancellation noise scales with. Every entry
+    the expansion leaves negative lies below that cutoff, so it is replaced
+    too and needs no clamp.
+
+    Pass budget over the (m, n) result: the broadcast add, the GEMM, its x2,
+    the subtract and one compare against the cutoff, then direct differences
+    on the entries it finds only. The row norms of `a` cost m x d. A caller
+    that splits `a` into row blocks passes `b_sq_norms` (`row_sq_norms(b)`)
+    and the scale of the whole set, computed once: then no block re-reads all
+    of `b` for its norms, and every block refines the same entries.
     """
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"row dimensions differ: {a.shape[1]} vs {b.shape[1]}")
-    a2 = np.einsum("ij,ij->i", a, a)
-    b2 = np.einsum("ij,ij->i", b, b)
+    a2 = row_sq_norms(a)
+    b2 = row_sq_norms(b) if b_sq_norms is None else b_sq_norms
     d2 = a2[:, None] + b2[None, :]
     ab = a @ b.T
     ab *= 2.0
     d2 -= ab
     if refine_scale is None:
-        refine_scale = sq_dist_refine_scale(a, b)
-    cutoff = _SQDIST_REFINE_REL * refine_scale
-    # one min pass usually shows that nothing needs clamping or refining
-    if d2.size and d2.min() <= cutoff:
-        np.maximum(d2, 0.0, out=d2)
-        flat = np.flatnonzero(d2 <= cutoff)
+        refine_scale = a2.max(initial=0.0) + b2.max(initial=0.0)
+    flat = np.flatnonzero(d2 <= _SQDIST_REFINE_REL * refine_scale)
+    if flat.size:
         ii, jj = np.divmod(flat, d2.shape[1])
         diff = a[ii] - b[jj]
-        d2.reshape(-1)[flat] = np.einsum("ij,ij->i", diff, diff)
+        d2.reshape(-1)[flat] = row_sq_norms(diff)
     return d2
-
-
-def sq_dist_refine_scale(a: Matrix, b: Matrix) -> float:
-    """The largest squared row norm of `a` plus that of `b`: the magnitude
-    that the cancellation noise of `pairwise_sq_dists` scales with."""
-    return float(np.einsum("ij,ij->i", a, a).max(initial=0.0)
-                 + np.einsum("ij,ij->i", b, b).max(initial=0.0))
 
 
 def checksum_matrix(mat: Matrix) -> str:

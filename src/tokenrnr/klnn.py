@@ -8,11 +8,14 @@ where rho_k(i) is the distance from X'_i to its k-th nearest neighbor within
 X' (excluding itself) and nu_k(i) the distance to its k-th nearest neighbor
 in X. Neighbor search is exact brute force: desk-scale sample counts make
 index structures unnecessary. Queries are processed in chunks of 2^18
-squared distances, small enough to stay in cache, and each row's k-th
-smallest distance is selected by argmin knockouts (the current minimum is set
-to inf, k - 1 times, or k times when self is excluded) and one min pass, so
-the selection cost grows linearly with k. The package's callers use k = 1:
-no knockout for nu, one for rho.
+squared distances, small enough to stay in cache. The squared norms of both
+sets and the refine scale are computed once per search, so a chunk costs the
+five passes of `pairwise_sq_dists` (broadcast add, GEMM, x2, subtract, one
+compare against the refine cutoff) plus direct differences on the near-zero
+entries. Each row's k-th smallest distance is then selected by argmin
+knockouts (the current minimum is set to inf, k - 1 times, or k times when
+self is excluded) and one min pass, so the selection cost grows linearly
+with k. The package's callers use k = 1: no knockout for nu, one for rho.
 
 Exact zero distances (coincident points) are floored at DISTANCE_FLOOR; the
 underlying theory assumes continuous densities where that event has measure
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Matrix, pairwise_sq_dists, sq_dist_refine_scale
+from .core import Matrix, pairwise_sq_dists, row_sq_norms
 from .rnr import ReductionPlan
 
 DISTANCE_FLOOR = 1e-12
@@ -67,17 +70,32 @@ def knn_distances(queries: Matrix, points: Matrix, k: int,
     in place: k - 1 times (k with exclude_self) the row's argmin entry is set
     to inf, then the row minimum is taken. Each knockout removes exactly one
     occurrence, so ties count with their multiplicity, as in a sort.
+
+    Both sets must be finite 2-D matrices with the same number of columns,
+    and k an integer (not a bool) from 1 to the number of usable points.
     """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, got {k!r}")
+    for what, mat in (("queries", queries), ("points", points)):
+        if mat.ndim != 2:
+            raise ValueError(f"{what} must be a 2-D matrix, got shape {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError(f"{what} entries must be finite")
+    if queries.shape[1] != points.shape[1]:
+        raise ValueError(f"queries have {queries.shape[1]} columns, "
+                         f"points {points.shape[1]}")
     usable = points.shape[0] - (1 if exclude_self else 0)
     if k < 1 or k > usable:
         raise ValueError(f"k={k} out of range for {points.shape[0]} points"
                          f"{' (self-excluded)' if exclude_self else ''}")
     kth = k + (1 if exclude_self else 0)
-    scale = sq_dist_refine_scale(queries, points)
+    p2 = row_sq_norms(points)
+    q2 = p2 if queries is points else row_sq_norms(queries)
+    scale = q2.max(initial=0.0) + p2.max(initial=0.0)
     chunk = max(1, _KNN_CHUNK_ELEMS // points.shape[0])
     out = np.empty(queries.shape[0])
     for i in range(0, queries.shape[0], chunk):
-        d2 = pairwise_sq_dists(queries[i:i + chunk], points, scale)
+        d2 = pairwise_sq_dists(queries[i:i + chunk], points, p2, scale)
         rows = np.arange(d2.shape[0])
         for _ in range(kth - 1):
             d2[rows, d2.argmin(axis=1)] = np.inf

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import pairwise_sq_dists, sq_dist_refine_scale
+from .core import pairwise_sq_dists, row_sq_norms
 
 METRICS = ("neg_euclidean", "cosine", "dot", "random")
 DEFAULT_METRIC = "neg_euclidean"
@@ -107,16 +107,18 @@ def _similarity_rows(src: np.ndarray, dst: np.ndarray, metric: str,
 
     Blocks taken in ascending row order stack bit for bit into the whole
     matrix: an entry depends only on its own source and destination rows
-    (the squared-distance refine cutoff is scaled by the whole sets), and
-    `random` draws row after row in C order.
+    (the destination norms and the squared-distance refine cutoff come from
+    the whole sets, once per call), and `random` draws row after row in C
+    order.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
     if metric == "neg_euclidean":
-        scale = sq_dist_refine_scale(src, dst)
+        dst2 = row_sq_norms(dst)
+        scale = row_sq_norms(src).max(initial=0.0) + dst2.max(initial=0.0)
 
         def rows(lo, hi):
-            sims = pairwise_sq_dists(src[lo:hi], dst, scale)
+            sims = pairwise_sq_dists(src[lo:hi], dst, dst2, scale)
             np.sqrt(sims, out=sims)
             return np.negative(sims, out=sims)
         return rows

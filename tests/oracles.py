@@ -6,8 +6,10 @@ library's own matching/selection/ordering logic. The whole similarity
 matrix and the plan check have no library counterpart; they are written
 here from their definitions. `direct_similarities` and `sort_based_knn`
 share one kernel with the library, its squared distances, because the
-bitwise checks on matching need exactly its rounding. `reference_pipeline`
-shares none: it is checked to a tolerance.
+bitwise checks on matching need exactly its rounding. `expansion_sq_dists`
+is a frozen copy of that kernel as it first shipped, so a faster kernel can
+be checked to give the same bits. `reference_pipeline` shares none: it is
+checked to a tolerance.
 """
 from __future__ import annotations
 
@@ -72,6 +74,30 @@ def direct_similarities(src, dst, metric, rng=None):
     if metric == "random":
         return rng.random((len(src), len(dst)))
     raise ValueError(f"unknown metric {metric!r}")
+
+
+def expansion_sq_dists(a, b, refine_scale=None):
+    """Squared distances as the library's kernel first computed them, step
+    by step: broadcast add of the squared row norms, GEMM, x2, subtract,
+    clamp at 0, then direct differences for every entry at or below 1e-8
+    times the scale (by default the largest squared row norm of `a` plus
+    that of `b`)."""
+    a2 = np.einsum("ij,ij->i", a, a)
+    b2 = np.einsum("ij,ij->i", b, b)
+    d2 = a2[:, None] + b2[None, :]
+    ab = a @ b.T
+    ab *= 2.0
+    d2 -= ab
+    if refine_scale is None:
+        refine_scale = float(a2.max(initial=0.0) + b2.max(initial=0.0))
+    cutoff = 1e-8 * refine_scale
+    if d2.size and d2.min() <= cutoff:
+        np.maximum(d2, 0.0, out=d2)
+        flat = np.flatnonzero(d2 <= cutoff)
+        ii, jj = np.divmod(flat, d2.shape[1])
+        diff = a[ii] - b[jj]
+        d2.reshape(-1)[flat] = np.einsum("ij,ij->i", diff, diff)
+    return d2
 
 
 def sort_based_knn(points, query, k, exclude_self=False):

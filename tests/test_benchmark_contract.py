@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tokenrnr import PipelineConfig, partition_3d
+from tokenrnr import (PipelineConfig, build_plan, pairwise_best_match,
+                      partition_3d)
 from tokenrnr.pipeline import unreduced_profile
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -60,3 +61,26 @@ def test_workload_checks_pass_on_a_small_grid(perfbench, name):
         report = workloads.run_pipeline(cfg, profile=state.profile)
     assert tracing.guard(wl, tracing.summarize(tracer.spans)) == []
     assert wl.check(state, report) == []
+
+
+def test_kl_workload_enters_its_boundaries_on_small_sets(perfbench):
+    # the kl workload's plans and Gaussian pairs at a small size: it enters
+    # exactly the klnn boundaries, core.pairwise_sq_dists through klnn's own
+    # name included, and every score is finite. The 0.1-nat bound of its
+    # own check needs the full sample count, so it is not asserted here.
+    tracing, workloads = perfbench
+    wl = workloads.WORKLOADS["kl"]
+    rng = np.random.default_rng(5)
+    grid = (2, 8, 8)
+    tokens = rng.standard_normal((2 * 8 * 8, 8))
+    part = partition_3d(grid, (2, 2, 2), rng)
+    match = pairwise_best_match(tokens, part, "neg_euclidean")
+    plans = tuple(build_plan(match, part, rate) for rate in workloads.KL_RATES)
+    mu = np.eye(workloads.KL_DIM)[0]
+    samples = [(rng.standard_normal((200, workloads.KL_DIM)) + mu,
+                rng.standard_normal((200, workloads.KL_DIM))) for _ in range(2)]
+    state = workloads.KlState(tokens=tokens, plans=plans, samples=samples)
+    with tracing.patched(tracing.Tracer()) as tracer:
+        out = wl.run(state)
+    assert tracing.guard(wl, tracing.summarize(tracer.spans)) == []
+    assert np.isfinite(out.scores + out.estimates).all()

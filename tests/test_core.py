@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from tokenrnr.core import (apply_rope_tables, checksum_matrix,
                            grid_coordinates, make_rng, pairwise_sq_dists,
-                           rope3d_tables, row_softmax, spawn_rngs,
-                           sq_dist_refine_scale)
+                           rope3d_tables, row_softmax, row_sq_norms,
+                           spawn_rngs)
 
-from oracles import _reference_rope, _rotate_rows
+from oracles import _reference_rope, _rotate_rows, expansion_sq_dists
 
 
 def softmax(a):
@@ -171,10 +171,64 @@ class TestPairwiseSqDists:
         a[7] = b[3] + 1e-2             # near zero only against the whole-set scale
         a[5] *= 1e3                    # sets the whole-set refine scale
         whole = pairwise_sq_dists(a, b)
-        scale = sq_dist_refine_scale(a, b)
-        blocks = [pairwise_sq_dists(a[i:i + 3], b, scale) for i in range(0, 11, 3)]
+        b2 = row_sq_norms(b)
+        scale = row_sq_norms(a).max() + b2.max()
+        blocks = [pairwise_sq_dists(a[i:i + 3], b, b2, scale) for i in range(0, 11, 3)]
         assert np.array_equal(np.vstack(blocks), whole)
         assert whole[2, 0] == whole[9, 6] == 0.0
+
+    @given(st.integers(0, 10_000), st.integers(1, 12), st.integers(1, 12),
+           st.integers(1, 9), st.floats(-3.0, 3.0), st.integers(0, 3),
+           st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_the_expansion_oracle(self, seed, m, n, d, log_mag,
+                                                   n_special, block):
+        # magnitudes 1e-3 to 1e3; some rows of `a` copy a row of `b`, sit
+        # within 1e-9 of one, or are all zero. Each row block gets the norms
+        # and the whole-set scale passed in and is checked against the oracle
+        # on the same block: BLAS may round a short block's GEMM differently
+        # from the whole one's, in the parent kernel as in this one
+        rng = make_rng(seed)
+        mag = 10.0 ** log_mag
+        a = rng.standard_normal((m, d)) * mag
+        b = rng.standard_normal((n, d)) * mag
+        for i in rng.choice(m, size=min(n_special, m), replace=False):
+            kind = rng.integers(3)
+            if kind == 0:
+                a[i] = b[rng.integers(n)]
+            elif kind == 1:
+                a[i] = b[rng.integers(n)] * (1.0 + 1e-9 * rng.standard_normal(d))
+            else:
+                a[i] = 0.0
+        if rng.integers(4) == 0:
+            b[rng.integers(n)] = 0.0
+        want = expansion_sq_dists(a, b)
+        assert np.array_equal(pairwise_sq_dists(a, b), want)
+        b2 = row_sq_norms(b)
+        scale = row_sq_norms(a).max() + b2.max()
+        for i in range(0, m, block):
+            assert np.array_equal(pairwise_sq_dists(a[i:i + block], b, b2, scale),
+                                  expansion_sq_dists(a[i:i + block], b, scale))
+
+    def test_negative_expansion_entries_match_the_oracle(self):
+        # rows that coincide in 64 dimensions at magnitude 1e3: the expansion
+        # leaves cancellation noise of both signs, and every entry, the
+        # negative ones included, comes back as the oracle's exact 0.0
+        rng = make_rng(12)
+        b = rng.standard_normal((50, 64)) * 1e3
+        a = b[rng.permutation(50)]
+        raw = (row_sq_norms(a)[:, None] + row_sq_norms(b)[None, :]) - 2.0 * (a @ b.T)
+        assert (raw < 0).any()
+        got = pairwise_sq_dists(a, b)
+        assert np.array_equal(got, expansion_sq_dists(a, b))
+        assert (got >= 0).all() and np.count_nonzero(got == 0.0) == 50
+
+    def test_all_zero_rows_have_scale_zero(self):
+        a = np.zeros((3, 4))
+        b = np.vstack([np.zeros((1, 4)), np.ones((2, 4))])
+        got = pairwise_sq_dists(a, b)
+        assert np.array_equal(got, expansion_sq_dists(a, b))
+        assert np.array_equal(got, np.tile([0.0, 4.0, 4.0], (3, 1)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -65,6 +65,29 @@ class TestKnnDistance:
         with pytest.raises(ValueError, match="k="):
             knn_distances(q, points, k=3, exclude_self=True)
 
+    @pytest.mark.parametrize("queries, points, k, match", [
+        (np.zeros(2), np.ones((3, 2)), 1, "queries must be a 2-D matrix"),
+        (np.zeros((1, 1, 2)), np.ones((3, 2)), 1, "queries must be a 2-D matrix"),
+        (np.zeros((1, 2)), np.ones(6), 1, "points must be a 2-D matrix"),
+        (np.zeros((1, 3)), np.ones((3, 2)), 1, "3 columns, points 2"),
+        (np.full((1, 2), np.nan), np.ones((3, 2)), 1, "queries entries must be finite"),
+        (np.zeros((1, 2)), np.array([[0.0, np.inf], [1.0, 1.0]]), 1,
+         "points entries must be finite"),
+        (np.zeros((1, 2)), np.ones((3, 2)), 1.5, "k must be an integer"),
+        (np.zeros((1, 2)), np.ones((3, 2)), True, "k must be an integer"),
+    ])
+    def test_malformed_inputs_rejected(self, monkeypatch, queries, points, k, match):
+        # each is refused by name before any distance work starts
+        def no_norms(*_):
+            raise AssertionError("norms computed before the input checks")
+        monkeypatch.setattr(klnn, "row_sq_norms", no_norms)
+        with pytest.raises(ValueError, match=match):
+            knn_distances(queries, points, k)
+
+    def test_numpy_integer_k_accepted(self):
+        points = np.array([[0.0], [1.0], [3.0]])
+        assert knn_distances(np.zeros((1, 1)), points, np.int64(2))[0] == 1.0
+
     def test_batch_matches_single(self):
         # batched and single-query calls hit different BLAS kernel shapes,
         # so agreement is to rounding, not bitwise

@@ -36,22 +36,25 @@ CACHE_STEP_GRID = [1, 2, 3, 4, 5, 6]
 ABLATE_DIMENSIONS = ("metric", "reduce_op", "cache_step", "stride", "feature")
 
 
-def _load_config(args) -> PipelineConfig:
+def _load_config(args, **overrides) -> PipelineConfig:
     """The --config file (else the defaults), with --seed, --mode and
-    --schedule overriding its fields where given.
+    --schedule, then `overrides`, replacing its fields before the config
+    checks them.
 
     Its `profiling` is always off: only `profile` records a profile, through
     `unreduced_profile`, and a timed run must not spend matchings on one.
     """
-    cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-    overrides = {"profiling": False}
+    fields = {"profiling": False}
     if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
+        fields["seed"] = args.seed
     if getattr(args, "mode", None) is not None:
-        overrides["rnr_mode"] = args.mode
+        fields["rnr_mode"] = args.mode
     if getattr(args, "schedule", None):
-        overrides["schedule"] = ScheduleConfig.from_file(args.schedule)
-    return replace(cfg, **overrides)
+        fields["schedule"] = ScheduleConfig.from_file(args.schedule)
+    fields.update(overrides)
+    if args.config:
+        return PipelineConfig.from_file(args.config, **fields)
+    return PipelineConfig(**fields)
 
 
 def _config_id(cfg: PipelineConfig) -> str:
@@ -164,7 +167,7 @@ def _kl_score_for(cfg: PipelineConfig, rate: float) -> tuple[float, float]:
 
 
 def cmd_ablate(args) -> int:
-    cfg = replace(_load_config(args), collect_norms=False)  # it writes no norms
+    cfg = _load_config(args, collect_norms=False)  # it writes no norms
     rate = args.rate
 
     def point(label, features="V", reduce_op=cfg.reduce_op,
@@ -276,8 +279,7 @@ def cmd_klcheck(args) -> int:
 
 
 def cmd_normstats(args) -> int:
-    cfg = _load_config(args)
-    cfg = replace(cfg, collect_norms=True, rnr_mode="none", schedule=None)
+    cfg = _load_config(args, collect_norms=True, rnr_mode="none", schedule=None)
     steps = None
     if args.steps:
         try:

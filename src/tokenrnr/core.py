@@ -130,21 +130,26 @@ def pairwise_sq_dists(a: Matrix, b: Matrix, b_sq_norms: np.ndarray | None = None
     the expansion leaves negative lies below that cutoff, so it is replaced
     too and needs no clamp.
 
-    Pass budget over the (m, n) result: the broadcast add, the GEMM, its x2,
-    the subtract and one compare against the cutoff, then direct differences
-    on the entries it finds only. The row norms of `a` cost m x d. A caller
-    that splits `a` into row blocks passes `b_sq_norms` (`row_sq_norms(b)`)
-    and the scale of the whole set, computed once: then no block re-reads all
-    of `b` for its norms, and every block refines the same entries.
+    Pass budget over the (m, n) result: the broadcast add, the GEMM, the
+    subtract and one compare against the cutoff, then direct differences on
+    the entries it finds only. The 2 of 2 x.y rides in the GEMM operand:
+    `(a + a) @ b.T` costs m x d, and doubling is exact, so each entry has the
+    bits of 2 * (a @ b.T) unless a product or partial sum inside the GEMM is
+    subnormal (nonzero and below 2.2e-308 in magnitude) or overflows. Finite
+    squared norms rule out the overflow; nonzero entries of magnitude 1e-150
+    or more keep every product normal, so only a partial sum that cancels to
+    within 2.2e-308 of zero can differ, in its last place. The row norms of
+    `a` cost m x d. A caller that splits `a` into row blocks passes
+    `b_sq_norms` (`row_sq_norms(b)`) and the scale of the whole set, computed
+    once: then no block re-reads all of `b` for its norms, and every block
+    refines the same entries.
     """
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"row dimensions differ: {a.shape[1]} vs {b.shape[1]}")
     a2 = row_sq_norms(a)
     b2 = row_sq_norms(b) if b_sq_norms is None else b_sq_norms
     d2 = a2[:, None] + b2[None, :]
-    ab = a @ b.T
-    ab *= 2.0
-    d2 -= ab
+    d2 -= (a + a) @ b.T
     if refine_scale is None:
         refine_scale = a2.max(initial=0.0) + b2.max(initial=0.0)
     flat = np.flatnonzero(d2 <= _SQDIST_REFINE_REL * refine_scale)

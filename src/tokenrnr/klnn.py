@@ -10,12 +10,13 @@ in X. Neighbor search is exact brute force: desk-scale sample counts make
 index structures unnecessary. Queries are processed in chunks of 2^18
 squared distances, small enough to stay in cache. The squared norms of both
 sets and the refine scale are computed once per search, so a chunk costs the
-five passes of `pairwise_sq_dists` (broadcast add, GEMM, x2, subtract, one
-compare against the refine cutoff) plus direct differences on the near-zero
-entries. Each row's k-th smallest distance is then selected by argmin
-knockouts (the current minimum is set to inf, k - 1 times, or k times when
-self is excluded) and one min pass, so the selection cost grows linearly
-with k. The package's callers use k = 1: no knockout for nu, one for rho.
+four passes of `pairwise_sq_dists` (broadcast add, GEMM with the 2 of 2 x.y
+folded into its operand, subtract, one compare against the refine cutoff)
+plus direct differences on the near-zero entries. Each row's k-th smallest
+distance is then selected by argmin knockouts (the current minimum is set to
+inf, k - 1 times, or k times when self is excluded) and one min pass, so the
+selection cost grows linearly with k. The package's callers use k = 1: no
+knockout for nu, one for rho.
 
 Exact zero distances (coincident points) are floored at DISTANCE_FLOOR; the
 underlying theory assumes continuous densities where that event has measure
@@ -71,8 +72,9 @@ def knn_distances(queries: Matrix, points: Matrix, k: int,
     to inf, then the row minimum is taken. Each knockout removes exactly one
     occurrence, so ties count with their multiplicity, as in a sort.
 
-    Both sets must be finite 2-D matrices with the same number of columns,
-    and k an integer (not a bool) from 1 to the number of usable points.
+    Both sets must be finite 2-D matrices with the same number of columns
+    and finite squared row norms, and k an integer (not a bool) from 1 to
+    the number of usable points.
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise ValueError(f"k must be an integer, got {k!r}")
@@ -92,6 +94,9 @@ def knn_distances(queries: Matrix, points: Matrix, k: int,
     p2 = row_sq_norms(points)
     q2 = p2 if queries is points else row_sq_norms(queries)
     scale = q2.max(initial=0.0) + p2.max(initial=0.0)
+    if not math.isfinite(scale):
+        raise ValueError("squared row norms must be finite; entries near 1e154 "
+                         "or larger overflow them")
     chunk = max(1, _KNN_CHUNK_ELEMS // points.shape[0])
     out = np.empty(queries.shape[0])
     for i in range(0, queries.shape[0], chunk):

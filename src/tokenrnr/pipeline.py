@@ -162,19 +162,29 @@ class PipelineConfig:
         return json.dumps(payload, indent=2)
 
     @staticmethod
-    def from_json(text: str) -> "PipelineConfig":
+    def from_json(text: str, **overrides) -> "PipelineConfig":
+        """The config the JSON text describes, with `overrides` (field values,
+        the schedule a `ScheduleConfig`) in place of its fields.
+
+        A value that an override replaces still gets the check of its own
+        field (on an otherwise default config), but the checks across fields
+        see only the override: a symmetric file with `"profiling": true`
+        loads with `profiling=False`, and `"profiling": 3` is still refused.
+        """
         payload = json_object(text, "config")
         unknown = set(payload) - {f.name for f in fields(PipelineConfig)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if payload.get("schedule") is not None:
             payload["schedule"] = ScheduleConfig.from_dict(payload["schedule"])
-        return PipelineConfig(**payload)
+        for name in overrides.keys() & payload.keys():
+            PipelineConfig(**{name: payload[name]})
+        return PipelineConfig(**{**payload, **overrides})
 
     @staticmethod
-    def from_file(path) -> "PipelineConfig":
+    def from_file(path, **overrides) -> "PipelineConfig":
         with open(path, encoding="utf-8") as fh:
-            return PipelineConfig.from_json(fh.read())
+            return PipelineConfig.from_json(fh.read(), **overrides)
 
 
 @dataclass(frozen=True)

@@ -545,13 +545,21 @@ class TestFlagsAndPaths:
         assert rc == 2
         assert "do not cover" in capsys.readouterr().err
 
-    def test_config_profiling_flag_is_ignored(self, tmp_path, schedule_path):
+    @pytest.mark.parametrize("sym", [False, True])
+    def test_config_profiling_flag_is_ignored(self, tmp_path, schedule_path, sym):
+        # a symmetric file with a Q rule would be refused for the flag alone
+        # ("profiling needs the full feature set") if it were checked before
+        # the CLI turns it off
+        fields, argv = dict(SMALL_CFG), ["--schedule", schedule_path]
+        if sym:
+            fields.update(rnr_mode="sym", schedule={"Q": {"0.0": 0.5}})
+            argv = []
         macs = []
         for profiling in (False, True):
             cfg = tmp_path / f"profiling_{profiling}.json"
-            cfg.write_text(json.dumps({**SMALL_CFG, "profiling": profiling}))
+            cfg.write_text(json.dumps({**fields, "profiling": profiling}))
             out = tmp_path / f"b_{profiling}.csv"
-            assert main(["bench", "--config", str(cfg), "--schedule", schedule_path,
+            assert main(["bench", "--config", str(cfg), *argv,
                          "--out", str(out), "--repeat", "1", "--warmup", "0"]) == 0
             macs.append([row["total_macs"] for row in read_csv(out)])
         assert macs[0] == macs[1]

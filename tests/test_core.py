@@ -210,6 +210,28 @@ class TestPairwiseSqDists:
             assert np.array_equal(pairwise_sq_dists(a[i:i + block], b, b2, scale),
                                   expansion_sq_dists(a[i:i + block], b, scale))
 
+    @pytest.mark.parametrize("m, n, d", [(52, 5000, 4), (43, 6042, 64),
+                                         (32, 8192, 64), (256, 1024, 64)])
+    def test_bitwise_equal_to_the_oracle_at_the_callers_chunk_shapes(self, m, n, d):
+        # the row blocks the callers run: k-NN chunks of the d=4 Gaussian
+        # check (5000 points) and of plan scores (6042 and 8192 tokens), and
+        # matching's chunks against 1024 destinations; each as a full block
+        # and as 1-row and 3-row tails, with the whole-set norms and scale.
+        # BLAS may take other code paths here than at the property's sizes
+        rng = make_rng(m * n * d)
+        b = rng.standard_normal((n, d))
+        a = rng.standard_normal((m + 4, d))
+        coincident = [0, m // 2, m, m + 2]     # refined to exact zero
+        a[coincident] = b[rng.choice(n, size=4, replace=False)]
+        b2 = row_sq_norms(b)
+        scale = row_sq_norms(a).max() + b2.max()
+        zeros = 0
+        for lo, hi in ((0, m), (m, m + 1), (m + 1, m + 4)):
+            got = pairwise_sq_dists(a[lo:hi], b, b2, scale)
+            assert np.array_equal(got, expansion_sq_dists(a[lo:hi], b, scale))
+            zeros += np.count_nonzero(got == 0.0)
+        assert zeros == 4
+
     def test_negative_expansion_entries_match_the_oracle(self):
         # rows that coincide in 64 dimensions at magnitude 1e3: the expansion
         # leaves cancellation noise of both signs, and every entry, the

@@ -75,12 +75,20 @@ class TestKnnDistance:
          "points entries must be finite"),
         (np.zeros((1, 2)), np.ones((3, 2)), 1.5, "k must be an integer"),
         (np.zeros((1, 2)), np.ones((3, 2)), True, "k must be an integer"),
+        (np.array([[1e200, 0.0]]), np.ones((3, 2)), 1, "squared row norms must be finite"),
+        (np.zeros((1, 2)), np.array([[1.0, 1.0], [0.0, -1e200]]), 1,
+         "squared row norms must be finite"),
     ])
     def test_malformed_inputs_rejected(self, monkeypatch, queries, points, k, match):
-        # each is refused by name before any distance work starts
-        def no_norms(*_):
-            raise AssertionError("norms computed before the input checks")
-        monkeypatch.setattr(klnn, "row_sq_norms", no_norms)
+        # each is refused by name before any distance work starts, and all
+        # but an overflowing norm before any norm is computed
+        def refuse(what):
+            def fail(*_):
+                raise AssertionError(f"{what} computed before the input checks")
+            return fail
+        monkeypatch.setattr(klnn, "pairwise_sq_dists", refuse("distances"))
+        if "norms" not in match:
+            monkeypatch.setattr(klnn, "row_sq_norms", refuse("norms"))
         with pytest.raises(ValueError, match=match):
             knn_distances(queries, points, k)
 

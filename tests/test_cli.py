@@ -545,15 +545,8 @@ class TestFlagsAndPaths:
         assert rc == 2
         assert "do not cover" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sym", [False, True])
-    def test_config_profiling_flag_is_ignored(self, tmp_path, schedule_path, sym):
-        # a symmetric file with a Q rule would be refused for the flag alone
-        # ("profiling needs the full feature set") if it were checked before
-        # the CLI turns it off
-        fields, argv = dict(SMALL_CFG), ["--schedule", schedule_path]
-        if sym:
-            fields.update(rnr_mode="sym", schedule={"Q": {"0.0": 0.5}})
-            argv = []
+    @staticmethod
+    def bench_macs_with_and_without_profiling(tmp_path, fields, argv):
         macs = []
         for profiling in (False, True):
             cfg = tmp_path / f"profiling_{profiling}.json"
@@ -562,6 +555,19 @@ class TestFlagsAndPaths:
             assert main(["bench", "--config", str(cfg), *argv,
                          "--out", str(out), "--repeat", "1", "--warmup", "0"]) == 0
             macs.append([row["total_macs"] for row in read_csv(out)])
+        return macs
+
+    def test_config_profiling_flag_is_ignored(self, tmp_path, schedule_path):
+        macs = self.bench_macs_with_and_without_profiling(
+            tmp_path, SMALL_CFG, ["--schedule", schedule_path])
+        assert macs[0] == macs[1]
+
+    def test_config_profiling_flag_is_ignored_on_sym_with_q_rule(self, tmp_path):
+        # a symmetric file with a Q rule would be refused for the flag alone
+        # ("profiling needs the full feature set") if it were checked before
+        # the CLI turns it off
+        fields = {**SMALL_CFG, "rnr_mode": "sym", "schedule": {"Q": {"0.0": 0.5}}}
+        macs = self.bench_macs_with_and_without_profiling(tmp_path, fields, [])
         assert macs[0] == macs[1]
 
     def test_bench_report_carries_norm_records(self, tmp_path):

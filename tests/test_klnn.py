@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tokenrnr import klnn
-from tokenrnr.core import make_rng
+from tokenrnr.core import make_rng, pairwise_sq_dists
 from tokenrnr.klnn import kl_estimate, knn_distances, score_reduction
 from tokenrnr.matching import partition_3d, pairwise_best_match
 from tokenrnr.rnr import ReductionPlan, build_plan
@@ -78,10 +78,16 @@ class TestKnnDistance:
         (np.array([[1e200, 0.0]]), np.ones((3, 2)), 1, "squared row norms must be finite"),
         (np.zeros((1, 2)), np.array([[1.0, 1.0], [0.0, -1e200]]), 1,
          "squared row norms must be finite"),
+        (np.zeros((1, 2)), np.ones((3, 2)), (1, "no"), "exclude_self must be a bool"),
+        (np.zeros((1, 2)), np.ones((3, 2)), (1, 2), "exclude_self must be a bool"),
+        (np.zeros((1, 2)), np.ones((3, 2)), (1, None), "exclude_self must be a bool"),
+        (np.zeros((1, 2)), np.ones((3, 2)), (1, np.int64(1)),
+         "exclude_self must be a bool"),
     ])
     def test_malformed_inputs_rejected(self, monkeypatch, queries, points, k, match):
         # each is refused by name before any distance work starts, and all
-        # but an overflowing norm before any norm is computed
+        # but an overflowing norm before any norm is computed; a (k,
+        # exclude_self) pair passes exclude_self too
         def refuse(what):
             def fail(*_):
                 raise AssertionError(f"{what} computed before the input checks")
@@ -89,8 +95,13 @@ class TestKnnDistance:
         monkeypatch.setattr(klnn, "pairwise_sq_dists", refuse("distances"))
         if "norms" not in match:
             monkeypatch.setattr(klnn, "row_sq_norms", refuse("norms"))
+        k, exclude_self = k if isinstance(k, tuple) else (k, False)
         with pytest.raises(ValueError, match=match):
-            knn_distances(queries, points, k)
+            knn_distances(queries, points, k, exclude_self=exclude_self)
+
+    def test_numpy_bool_exclude_self_accepted(self):
+        points = np.array([[0.0], [1.0], [3.0]])
+        assert knn_distances(points, points, 1, exclude_self=np.True_)[0] == 1.0
 
     def test_numpy_integer_k_accepted(self):
         points = np.array([[0.0], [1.0], [3.0]])
@@ -140,6 +151,67 @@ class TestKnnDistance:
         for k in range(1, 5):
             got = knn_distances(queries, points, k, exclude_self=exclude_self)
             assert np.array_equal(got, direct[:, k - 1 + skip])
+        if exclude_self:
+            # queries is points: strips of 5 rows against the columns right
+            # of them split the runs of copies, and the last strip is short
+            assert len(points) % 5 != 0
+            self_sorted = np.sort(
+                np.sqrt(((points[:, None, :] - points[None]) ** 2).sum(2)), axis=1)
+            for k in (1, 2, 3, 4, len(points) - 1):
+                got = knn_distances(points, points, k, exclude_self=True)
+                assert np.array_equal(got, self_sorted[:, k])
+
+    def test_self_search_computes_each_pair_once(self, monkeypatch):
+        # rows x cols summed over the distance calls: a self search visits
+        # the upper triangle in strips of h rows, at most n(n + h)/2 entries,
+        # and no strip holds more than a row chunk; a cross search still
+        # computes every query-point pair
+        calls = []
+
+        def counting(a, b, *rest):
+            calls.append(a.shape[0] * b.shape[0])
+            return pairwise_sq_dists(a, b, *rest)
+
+        monkeypatch.setattr(klnn, "pairwise_sq_dists", counting)
+        rng = make_rng(21)
+        points = rng.standard_normal((1000, 3))
+        n = len(points)
+        h = klnn._KNN_CHUNK_ELEMS // n
+        for k in (1, 3):
+            calls.clear()
+            knn_distances(points, points, k, exclude_self=True)
+            assert sum(calls) <= n * (n + h) // 2
+            assert max(calls) <= h * n
+        queries = rng.standard_normal((300, 3))
+        calls.clear()
+        knn_distances(queries, points, 2, exclude_self=True)
+        assert sum(calls) == len(queries) * n
+        calls.clear()
+        knn_distances(points, points.copy(), 1, exclude_self=True)
+        assert sum(calls) == n * n
+
+    @pytest.mark.parametrize("n, d", [(5000, 4), (600, 64)])
+    def test_self_search_matches_the_row_chunk_path(self, n, d):
+        # `points` against itself takes the strip path and against a copy
+        # the row-chunk path; their GEMM shapes differ, so they may differ
+        # by rounding only
+        rng = make_rng(22)
+        points = rng.standard_normal((n, d))
+        for k in (1, 2, 4):
+            got = knn_distances(points, points, k, exclude_self=True)
+            want = knn_distances(points, points.copy(), k, exclude_self=True)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_self_search_degenerate_sets(self):
+        # all-zero rows make the refine scale 0 and every distance exactly 0;
+        # two rows leave one pair
+        zeros = np.zeros((7, 3))
+        for k in (1, 2, 6):
+            assert np.array_equal(knn_distances(zeros, zeros, k, exclude_self=True),
+                                  np.zeros(7))
+        two = np.array([[0.0, 1.0], [3.0, 5.0]])
+        assert np.array_equal(knn_distances(two, two, 1, exclude_self=True),
+                              [5.0, 5.0])
 
 
 class TestKlEstimate:

@@ -8,29 +8,26 @@ where rho_k(i) is the distance from X'_i to its k-th nearest neighbor within
 X' (excluding itself) and nu_k(i) the distance to its k-th nearest neighbor
 in X. Neighbor search is exact brute force: desk-scale sample counts make
 index structures unnecessary. The squared norms of both sets and the refine
-scale are computed once per search, and distances come in blocks of at most
-2^18 squared entries, small enough to stay in cache; each block costs the
-four passes of `pairwise_sq_dists` (broadcast add, GEMM with the 2 of 2 x.y
-folded into its operand, subtract, one compare against the refine cutoff)
-plus direct differences on the near-zero entries. A search takes one of two
-paths:
+scale are computed once per search, and one loop takes the queries in row
+chunks of at most 2^18 squared entries, small enough to stay in cache; each
+chunk costs one `pairwise_sq_dists` call (broadcast add, GEMM with the 2 of
+2 x.y folded into its operand, subtract, one compare against the refine
+cutoff, then direct differences on the near-zero entries) and one row-min
+pass.
 
-- Cross search (nu, and any call whose `queries` is not the `points`
-  object): row chunks of queries against all points. Each row's k-th
-  smallest distance is selected by argmin knockouts (the current minimum is
-  set to inf, k - 1 times, or k times when self is excluded) and one min
-  pass, so the selection cost grows linearly with k.
-- Self search (rho: `exclude_self` with `queries is points`): the distance
-  matrix is symmetric, so each pair is computed once. Strip [lo, hi) of rows,
-  max(1, 2^18 // n) high, meets columns [lo, n) only: n(n + h)/2 entries for
-  strip height h, instead of n^2. An entry counts for its row and, right of
-  the strip's square block, for its column's row. At k = 1 a strip costs a
-  row-min and a column-min pass besides the four; at k >= 2 a compare pass
-  per side, after which the few entries below their row's k-th smallest so
-  far are partitioned into a running (k, n) array.
+- A k = 1 self search (rho: `exclude_self` with `queries is points`) uses
+  the symmetry of the distance matrix: chunk [lo, hi) meets columns [lo, n)
+  only, n(n + h)/2 entries for chunk height h instead of n^2, and the column
+  minima right of its square block update the rows below. A column minimum
+  is the nearest neighbor those rows need; the k-th would need the k
+  smallest of each column kept across chunks, so the triangle is k = 1 only.
+- Every other search meets all points, n_q x n entries, and takes each
+  row's k-th smallest by argmin knockouts: the row minimum is set to inf
+  k - 1 times (k with exclude_self) before the row-min pass.
 
-The package's callers use k = 1. `X` and `X.copy()` take different paths with
-differently shaped GEMMs, so they agree to rounding, not bitwise.
+The package's callers use k = 1. At k = 1 `X` and `X.copy()` meet in
+differently shaped GEMMs, so they agree to rounding, not bitwise; at k >= 2
+both take the same chunks and agree bitwise.
 
 Exact zero distances (coincident points) are floored at DISTANCE_FLOOR; the
 underlying theory assumes continuous densities where that event has measure
@@ -51,7 +48,7 @@ from .rnr import ReductionPlan
 
 DISTANCE_FLOOR = 1e-12
 
-# squared distances per query chunk or self-search strip, as in matching
+# squared distances per query chunk (rows x columns met), as in matching
 _KNN_CHUNK_ELEMS = 1 << 18
 
 
@@ -76,25 +73,25 @@ def knn_distances(queries: Matrix, points: Matrix, k: int,
     With exclude_self, the single closest point is skipped for every query
     (the convention for queries drawn from `points` itself). Distances are
     selected on squared values and square-rooted afterwards; sqrt is monotone,
-    so the order statistic is unchanged.
+    so the order statistic is unchanged. Both sets are taken as float64;
+    whether `queries is points` is decided before that cast.
 
-    Every block of distances refines near-zero entries against the scale of
-    the whole query and point sets, so the result does not depend on how the
-    search is split. Object identity picks the path (module note):
+    Queries are handled in row chunks of `_KNN_CHUNK_ELEMS` entries, and
+    every chunk refines near-zero entries against the scale of the whole
+    query and point sets, so the result does not depend on how the search is
+    split (module note):
 
-    - `queries is points` with exclude_self walks upper-triangle strips and
-      computes each pair once. Each row's distance to itself refines to
-      exactly 0 (its expansion noise is far below the cutoff, and the direct
-      difference is 0) and no distance is negative, so skipping the closest
-      point removes one 0 from the row; knocking out the diagonal of the
-      strip's square block removes the same value, so a duplicate's 0 stays
-      in as before.
-    - Otherwise queries are handled in row chunks of `_KNN_CHUNK_ELEMS`
-      entries, and the k-th smallest entry of each row is found in place:
-      k - 1 times (k with exclude_self) the row's argmin entry is set to inf,
-      then the row minimum is taken.
-
-    Either way ties count with their multiplicity, as in a sort.
+    - `queries is points` with exclude_self and k = 1 meets the upper
+      triangle, n(n + h)/2 entries for chunk height h. Each row's distance to
+      itself refines to exactly 0 (its expansion noise is far below the
+      cutoff, and the direct difference is 0) and no distance is negative,
+      so skipping the closest point removes one 0 from the row; setting the
+      diagonal of the chunk's square block to inf removes the same value, so
+      a duplicate's 0 stays in.
+    - Otherwise each chunk meets all points, n_q x n entries in all, and the
+      k-th smallest entry of each row is found in place: k - 1 times (k with
+      exclude_self) the row's argmin entry is set to inf, then the row
+      minimum is taken. Ties count with their multiplicity, as in a sort.
 
     Both sets must be finite 2-D matrices with the same number of columns
     and finite squared row norms, k an integer (not a bool) from 1 to the
@@ -104,6 +101,9 @@ def knn_distances(queries: Matrix, points: Matrix, k: int,
         raise ValueError(f"k must be an integer, got {k!r}")
     if not isinstance(exclude_self, (bool, np.bool_)):
         raise ValueError(f"exclude_self must be a bool, got {exclude_self!r}")
+    same = queries is points
+    points = np.asarray(points, dtype=np.float64)
+    queries = points if same else np.asarray(queries, dtype=np.float64)
     for what, mat in (("queries", queries), ("points", points)):
         if mat.ndim != 2:
             raise ValueError(f"{what} must be a 2-D matrix, got shape {mat.shape}")
@@ -117,79 +117,36 @@ def knn_distances(queries: Matrix, points: Matrix, k: int,
         raise ValueError(f"k={k} out of range for {points.shape[0]} points"
                          f"{' (self-excluded)' if exclude_self else ''}")
     p2 = row_sq_norms(points)
-    q2 = p2 if queries is points else row_sq_norms(queries)
+    q2 = p2 if same else row_sq_norms(queries)
     scale = q2.max(initial=0.0) + p2.max(initial=0.0)
     if not math.isfinite(scale):
         raise ValueError("squared row norms must be finite; entries near 1e154 "
                          "or larger overflow them")
-    if exclude_self and queries is points:
-        return np.sqrt(_self_kth_sq_dists(points, p2, scale, k))
+    triangle = exclude_self and same and k == 1
     kth = k + (1 if exclude_self else 0)
     chunk = max(1, _KNN_CHUNK_ELEMS // points.shape[0])
-    out = np.empty(queries.shape[0])
-    for i in range(0, queries.shape[0], chunk):
-        d2 = pairwise_sq_dists(queries[i:i + chunk], points, p2, scale)
-        rows = np.arange(d2.shape[0])
-        for _ in range(kth - 1):
-            d2[rows, d2.argmin(axis=1)] = np.inf
-        out[i:i + chunk] = d2.min(axis=1)
-    return np.sqrt(out)
-
-
-def _self_kth_sq_dists(points: Matrix, p2: np.ndarray, scale: float,
-                       k: int) -> np.ndarray:
-    """k-th smallest squared distance from each row of `points` to the other
-    rows, computing each pair once: strip [lo, hi) of rows meets columns
-    [lo, n) only, and an entry right of the strip's square block also counts
-    for its column's row."""
-    n = points.shape[0]
-    height = max(1, _KNN_CHUNK_ELEMS // n)
-    best = np.full((k, n), np.inf)  # each row's k smallest so far, unordered
-    for lo in range(0, n, height):
-        hi = min(lo + height, n)
-        d2 = pairwise_sq_dists(points[lo:hi], points[lo:], p2[lo:], scale)
+    best = np.full(queries.shape[0], np.inf)
+    for lo in range(0, queries.shape[0], chunk):
+        hi = min(lo + chunk, queries.shape[0])
         rows = np.arange(hi - lo)
-        d2[rows, rows] = np.inf  # each row's distance to itself
-        # the strip's rows, then the columns right of its square block
-        for kept, lines in ((best[:, lo:hi], d2), (best[:, hi:], d2[:, hi - lo:].T)):
-            if k == 1:
-                np.minimum(kept[0], lines.min(axis=1), out=kept[0])
-            else:
-                _fold_k_smallest(kept, lines)
-    return best.max(axis=0)
-
-
-def _fold_k_smallest(kept: np.ndarray, lines: np.ndarray) -> None:
-    """Fold each row of `lines` into the same column of `kept`, the k
-    smallest entries seen so far, in place: one partition of a pad that holds
-    the kept entries and then the new ones keeps the k smallest, ties with
-    their multiplicity. While some row has seen fewer than k entries the pad
-    is all of `lines`. After that only entries below their row's largest kept
-    one can enter, and few do, so just those are gathered into the pad."""
-    k = kept.shape[0]
-    bound = kept.max(axis=0)
-    if np.isinf(bound).any():
-        pad, touched = np.concatenate((kept.T, lines), axis=1), slice(None)
-    else:
-        flat = np.flatnonzero(lines < bound[:, None])
-        if not flat.size:
-            return
-        line, col = np.divmod(flat, lines.shape[1])  # sorted by line
-        touched, seg, count = np.unique(line, return_inverse=True,
-                                        return_counts=True)
-        pad = np.full((touched.size, k + count.max()), np.inf)
-        pad[:, :k] = kept[:, touched].T
-        pad[seg, k + np.arange(line.size) - np.searchsorted(line, line)] = \
-            lines[line, col]
-    pad.partition(k - 1, axis=1)
-    kept[:, touched] = pad[:, :k].T
+        if triangle:
+            d2 = pairwise_sq_dists(points[lo:hi], points[lo:], p2[lo:], scale)
+            d2[rows, rows] = np.inf  # each row's distance to itself
+            np.minimum(best[hi:], d2[:, hi - lo:].min(axis=0), out=best[hi:])
+        else:
+            d2 = pairwise_sq_dists(queries[lo:hi], points, p2, scale)
+            for _ in range(kth - 1):
+                d2[rows, d2.argmin(axis=1)] = np.inf
+        np.minimum(best[lo:hi], d2.min(axis=1), out=best[lo:hi])
+    return np.sqrt(best)
 
 
 def kl_estimate(reduced: Matrix, original: Matrix, k: int = 1) -> KlEstimate:
     """Estimate D(P'||P) from reduced ~ P' and original ~ P.
 
-    rho passes `reduced` as both queries and points, so it is a self search
-    that computes each pair once; nu is a cross search (module note).
+    rho passes `reduced` as both queries and points, so at k = 1 it is a
+    self search that computes each pair once; nu, and rho at k >= 2, meet
+    every pair of their two sets (module note).
     """
     _validate_samples(reduced, min_rows=k + 1)
     _validate_samples(original, min_rows=k)

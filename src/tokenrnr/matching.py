@@ -152,8 +152,9 @@ def pairwise_best_match(tokens: np.ndarray, part: Partition, metric: str = DEFAU
     -inf, not NaN, for a zero-norm row; `random` ignores the tokens and draws
     i.i.d. uniforms from `rng`. Sources are matched in row blocks, so the
     (n_src, n_dst) similarity matrix is never held whole; the result equals
-    its row argmax.
+    its row argmax. Tokens are taken as float64.
     """
+    tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.shape[0] != part.n_tokens:
         raise ValueError(
             f"token count {tokens.shape[0]} does not match partition over {part.n_tokens}")

@@ -28,6 +28,15 @@ class TestKnnDistance:
         assert knn_distances(q, points, k=2, exclude_self=True)[0] == 3.0
         assert knn_distances(q, points, k=1, exclude_self=True)[0] == 1.0
         assert knn_distances(q, points, k=2, exclude_self=False)[0] == 1.0
+        # integer coordinates are taken as float64: an int64 block could not
+        # take the inf of the diagonal or a knockout (OverflowError), and
+        # 4e9^2 = 1.6e19 wraps in int64; in float64 every value here is exact
+        far = np.array([[0], [4_000_000_000], [9_000_000_000]])
+        assert np.array_equal(knn_distances(far, far, 1, exclude_self=True),
+                              [4e9, 4e9, 5e9])
+        assert np.array_equal(knn_distances(far, far, 2, exclude_self=True),
+                              [9e9, 5e9, 9e9])
+        assert knn_distances(far[:1], far[1:], 1)[0] == 4e9
 
     def test_against_sort_oracle(self):
         rng = make_rng(1)
@@ -138,12 +147,14 @@ class TestKnnDistance:
                                                         exclude_self):
         # integer coordinates make every distance exact, and each point is
         # present 2-3 times, so every row has ties; 23 queries in chunks of 5
-        # rows give four full chunks and a short last one
+        # rows give four full chunks and a short last one. The int64 sets
+        # themselves give the same bits as their float64 copies.
         rng = make_rng(11)
-        uniq = rng.integers(-3, 4, size=(12, 3)).astype(np.float64)
-        points = np.repeat(uniq, rng.integers(2, 4, size=12), axis=0)
-        queries = np.vstack([points[:17],
-                             rng.integers(-3, 4, size=(6, 3)).astype(np.float64)])
+        uniq = rng.integers(-3, 4, size=(12, 3))
+        int_points = np.repeat(uniq, rng.integers(2, 4, size=12), axis=0)
+        int_queries = np.vstack([int_points[:17], rng.integers(-3, 4, size=(6, 3))])
+        points = int_points.astype(np.float64)
+        queries = int_queries.astype(np.float64)
         monkeypatch.setattr(klnn, "_KNN_CHUNK_ELEMS", 5 * len(points))
         skip = 1 if exclude_self else 0
         direct = np.sort(np.sqrt(((queries[:, None, :] - points[None]) ** 2).sum(2)),
@@ -151,21 +162,28 @@ class TestKnnDistance:
         for k in range(1, 5):
             got = knn_distances(queries, points, k, exclude_self=exclude_self)
             assert np.array_equal(got, direct[:, k - 1 + skip])
+            assert np.array_equal(
+                knn_distances(int_queries, int_points, k, exclude_self=exclude_self),
+                got)
         if exclude_self:
-            # queries is points: strips of 5 rows against the columns right
-            # of them split the runs of copies, and the last strip is short
+            # queries is points: at k = 1 chunks of 5 rows against the
+            # columns right of them split the runs of copies, and the last
+            # chunk is short; at k >= 2 the chunks meet every column
             assert len(points) % 5 != 0
             self_sorted = np.sort(
                 np.sqrt(((points[:, None, :] - points[None]) ** 2).sum(2)), axis=1)
             for k in (1, 2, 3, 4, len(points) - 1):
                 got = knn_distances(points, points, k, exclude_self=True)
                 assert np.array_equal(got, self_sorted[:, k])
+                assert np.array_equal(
+                    knn_distances(int_points, int_points, k, exclude_self=True), got)
 
     def test_self_search_computes_each_pair_once(self, monkeypatch):
-        # rows x cols summed over the distance calls: a self search visits
-        # the upper triangle in strips of h rows, at most n(n + h)/2 entries,
-        # and no strip holds more than a row chunk; a cross search still
-        # computes every query-point pair
+        # rows x cols summed over the distance calls: a k = 1 self search
+        # visits the upper triangle in chunks of h rows, at most n(n + h)/2
+        # entries, also on an integer set, whose cast keeps it one object; a
+        # self search at k >= 2 and a cross search compute every query-point
+        # pair; no call holds more than a row chunk
         calls = []
 
         def counting(a, b, *rest):
@@ -177,11 +195,14 @@ class TestKnnDistance:
         points = rng.standard_normal((1000, 3))
         n = len(points)
         h = klnn._KNN_CHUNK_ELEMS // n
-        for k in (1, 3):
+        ints = np.rint(100 * points).astype(np.int64)
+        for pts, k, most in ((points, 1, n * (n + h) // 2),
+                             (ints, 1, n * (n + h) // 2), (points, 3, n * n)):
             calls.clear()
-            knn_distances(points, points, k, exclude_self=True)
-            assert sum(calls) <= n * (n + h) // 2
+            knn_distances(pts, pts, k, exclude_self=True)
+            assert sum(calls) <= most
             assert max(calls) <= h * n
+        assert sum(calls) == n * n
         queries = rng.standard_normal((300, 3))
         calls.clear()
         knn_distances(queries, points, 2, exclude_self=True)
@@ -192,15 +213,19 @@ class TestKnnDistance:
 
     @pytest.mark.parametrize("n, d", [(5000, 4), (600, 64)])
     def test_self_search_matches_the_row_chunk_path(self, n, d):
-        # `points` against itself takes the strip path and against a copy
-        # the row-chunk path; their GEMM shapes differ, so they may differ
-        # by rounding only
+        # at k = 1 `points` against itself meets the upper triangle and
+        # against a copy every pair; their GEMM shapes differ, so they may
+        # differ by rounding only. At k >= 2 both meet every pair in the same
+        # chunks and agree bitwise.
         rng = make_rng(22)
         points = rng.standard_normal((n, d))
         for k in (1, 2, 4):
             got = knn_distances(points, points, k, exclude_self=True)
             want = knn_distances(points, points.copy(), k, exclude_self=True)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            if k == 1:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            else:
+                assert np.array_equal(got, want)
 
     def test_self_search_degenerate_sets(self):
         # all-zero rows make the refine scale 0 and every distance exactly 0;
@@ -264,6 +289,11 @@ class TestKlEstimate:
         original = rng.standard_normal((20, 3))
         est = kl_estimate(reduced, original, k=2).value
         assert est == pytest.approx(knn_density_kl(reduced, original, k=2), abs=1e-9)
+        # integer samples are taken as float64 (they used to raise OverflowError)
+        ints = [np.rint(1000 * s).astype(np.int64) for s in (reduced, original)]
+        for k in (1, 2):
+            assert kl_estimate(*ints, k=k).value == pytest.approx(
+                knn_density_kl(*ints, k=k), abs=1e-9)
 
     def test_degenerate_counts_rejected(self):
         with pytest.raises(ValueError):

@@ -75,6 +75,15 @@ class TestBestMatch:
         assert match.best_sim[src_pos] == 0.0
         assert match.best_dst[src_pos] == 1
         assert match.reduce_order[0] == src_pos
+        # integer tokens are taken as float64 (neg_euclidean used to fail
+        # at its in-place sqrt of an int64 block)
+        ints = rng.integers(-5, 6, size=(8, 5))
+        ints[part.src_indices[src_pos]] = ints[part.dst_indices[1]]
+        for metric in ("neg_euclidean", "cosine", "dot"):
+            got = pairwise_best_match(ints, part, metric)
+            want = pairwise_best_match(ints.astype(np.float64), part, metric)
+            assert np.array_equal(got.best_dst, want.best_dst)
+            assert np.array_equal(got.best_sim, want.best_sim)
 
     def test_small_case_against_exhaustive_oracle(self):
         rng = make_rng(1)

@@ -6,24 +6,46 @@ Given samples X' ~ P' (l' rows) and X ~ P (l rows), the estimate is
 
 where rho_k(i) is the distance from X'_i to its k-th nearest neighbor within
 X' (excluding itself) and nu_k(i) the distance to its k-th nearest neighbor
-in X. Neighbor search is exact brute force: desk-scale sample counts make
-index structures unnecessary. The squared norms of both sets and the refine
-scale are computed once per search, and one loop takes the queries in row
-chunks of at most 2^18 squared entries, small enough to stay in cache; each
-chunk costs one `pairwise_sq_dists` call (broadcast add, GEMM with the 2 of
-2 x.y folded into its operand, subtract, one compare against the refine
-cutoff, then direct differences on the near-zero entries) and one row-min
-pass.
+in X. Neighbor search is exact. Every distance comes from one
+`pairwise_sq_dists` call per block of rows and columns (broadcast add, GEMM
+with the 2 of 2 x.y folded into its operand, subtract, one compare against
+the refine cutoff, then direct differences on the near-zero entries), made
+with the squared norms of both sets and the refine scale computed once per
+search, so which entries are refined does not depend on how a search is
+split. A search takes one of three routes:
 
-- A k = 1 self search (rho: `exclude_self` with `queries is points`) uses
-  the symmetry of the distance matrix: chunk [lo, hi) meets columns [lo, n)
-  only, n(n + h)/2 entries for chunk height h instead of n^2, and the column
-  minima right of its square block update the rows below. A column minimum
-  is the nearest neighbor those rows need; the k-th would need the k
-  smallest of each column kept across chunks, so the triangle is k = 1 only.
-- Every other search meets all points, n_q x n entries, and takes each
-  row's k-th smallest by argmin knockouts: the row minimum is set to inf
-  k - 1 times (k with exclude_self) before the row-min pass.
+- The sweep, for k = 1 without exclude_self (every nu), after Friedman,
+  Baskett and Shustek (1975). Both sets are projected on the points'
+  leading principal axis u, the top eigenvector of their d x d scatter, and
+  the points are sorted by projection once. The queries are taken in
+  projection order, `_SWEEP_ROWS` at a time. Each chunk first meets a
+  window of the `_SWEEP_WINDOW` points nearest to it in projection order,
+  whose minimum gives every row i an upper bound beta_i on its nearest
+  distance, and then only the points left and right of the window whose
+  projection lies within beta_i + margin of some row i. A point left out
+  lies farther than beta_i + margin from every row i along u, so farther
+  than beta_i from it, since |x - y| >= |u.x - u.y|. The margin, 2 sqrt(_SQDIST_REFINE_REL * scale),
+  covers rounding: the kernel's error on a squared distance stays below its
+  refine cutoff, _SQDIST_REFINE_REL * scale (the bound its refine rests
+  on), so a distance moves by at most half the margin, and the rounding of
+  the projections, about d eps sqrt(scale), fits in the other half. A pair
+  left out therefore never computes below the row's minimum. The window
+  and the two side ranges are disjoint, so the sweep meets each pair at
+  most once: from n_q x min(n, `_SWEEP_WINDOW`) entries up to n_q x n
+  when nothing can be pruned.
+- The triangle, for a k = 1 self search (rho: `exclude_self` with
+  `queries is points`), uses the symmetry of the distance matrix: row
+  chunks of at most `_KNN_CHUNK_ELEMS` entries, chunk [lo, hi) meeting
+  columns [lo, n) only, n(n + h)/2 entries for chunk height h instead of
+  n^2; the column minima right of its square block update the rows below.
+  A column minimum is the nearest neighbor those rows need; the k-th would
+  need the k smallest of each column kept across chunks, so the triangle
+  is k = 1 only. It prunes nothing, so it needs no margin.
+- The knockouts, for every other search (k >= 2, or exclude_self across
+  two sets), meet all points in the same row chunks, n_q x n entries, and
+  take each row's k-th smallest in place: the row minimum is set to inf
+  k - 1 times (k with exclude_self) before the row-min pass. No bound, no
+  margin.
 
 The package's callers use k = 1. At k = 1 `X` and `X.copy()` meet in
 differently shaped GEMMs, so they agree to rounding, not bitwise; at k >= 2
@@ -43,13 +65,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Matrix, pairwise_sq_dists, row_sq_norms
+from .core import _SQDIST_REFINE_REL, Matrix, pairwise_sq_dists, row_sq_norms
 from .rnr import ReductionPlan
 
 DISTANCE_FLOOR = 1e-12
 
 # squared distances per query chunk (rows x columns met), as in matching
 _KNN_CHUNK_ELEMS = 1 << 18
+# the sweep's query rows per chunk and the points each chunk meets first;
+# windows of 512-1536 points and chunks of 20-78 rows timed within noise of
+# each other on the kl benchmark, and this pair fastest at its minimum
+_SWEEP_ROWS = 26
+_SWEEP_WINDOW = 1024
 
 
 @dataclass(frozen=True)
@@ -59,11 +86,42 @@ class KlEstimate:
     value: float
 
 
-def _validate_samples(points: Matrix, min_rows: int = 2) -> None:
-    if points.ndim != 2 or points.shape[0] < min_rows:
-        raise ValueError(f"need a 2-D sample set with at least {min_rows} rows")
-    if not np.isfinite(points).all():
-        raise ValueError("sample entries must be finite")
+def _sweep_nearest(queries: np.ndarray, points: np.ndarray, p2: np.ndarray,
+                   scale: float) -> np.ndarray:
+    """Squared distance from each query row to its nearest point, by the
+    projection sweep of the module note."""
+    n, d = points.shape
+    mean = points.mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scatter = points.T @ points - n * np.outer(mean, mean)
+    # any unit axis keeps the sweep exact; one that overflowed (entries near
+    # 1e150 summed over many rows) falls back to the first coordinate
+    u = (np.linalg.eigh(scatter)[1][:, -1] if np.isfinite(scatter).all()
+         else np.eye(d)[0])
+    proj = points @ u
+    order = np.argsort(proj, kind="stable")
+    proj, points, p2 = proj[order], points[order], p2[order]
+    qproj = queries @ u
+    qorder = np.argsort(qproj, kind="stable")
+    margin = 2.0 * math.sqrt(_SQDIST_REFINE_REL * scale)
+    width = min(_SWEEP_WINDOW, n)
+    best = np.empty(queries.shape[0])
+    for lo in range(0, queries.shape[0], _SWEEP_ROWS):
+        rows = qorder[lo:lo + _SWEEP_ROWS]
+        q, qp = queries[rows], qproj[rows]
+        a = int(np.searchsorted(proj, qp[len(rows) // 2])) - width // 2
+        a = min(max(a, 0), n - width)
+        b = a + width
+        d2 = pairwise_sq_dists(q, points[a:b], p2[a:b], scale).min(axis=1)
+        reach = np.sqrt(d2) + margin
+        left = int(np.searchsorted(proj[:a], (qp - reach).min()))
+        right = b + int(np.searchsorted(proj[b:], (qp + reach).max(), side="right"))
+        for c0, c1 in ((left, a), (b, right)):
+            if c0 < c1:
+                np.minimum(d2, pairwise_sq_dists(q, points[c0:c1], p2[c0:c1],
+                                                 scale).min(axis=1), out=d2)
+        best[rows] = d2
+    return best
 
 
 def knn_distances(queries: Matrix, points: Matrix, k: int,
@@ -76,26 +134,35 @@ def knn_distances(queries: Matrix, points: Matrix, k: int,
     so the order statistic is unchanged. Both sets are taken as float64;
     whether `queries is points` is decided before that cast.
 
-    Queries are handled in row chunks of `_KNN_CHUNK_ELEMS` entries, and
-    every chunk refines near-zero entries against the scale of the whole
-    query and point sets, so the result does not depend on how the search is
-    split (module note):
+    Every distance is refined against the scale of the whole query and
+    point sets, so the result does not depend on how the search is split.
+    The three routes of the module note:
 
+    - k = 1 without exclude_self sweeps the points in the order of their
+      projection on their leading principal axis, `_SWEEP_ROWS` query rows
+      at a time: a window of `_SWEEP_WINDOW` points, then the points beyond
+      it within each row's window distance plus a margin of
+      2 sqrt(_SQDIST_REFINE_REL * scale) along that axis; from
+      n_q x min(n, `_SWEEP_WINDOW`) to n_q x n entries, none twice. A pair it leaves out computes no
+      smaller than the row's minimum, so the result is that of a search of
+      all pairs, up to the rounding of differently shaped GEMMs.
     - `queries is points` with exclude_self and k = 1 meets the upper
-      triangle, n(n + h)/2 entries for chunk height h. Each row's distance to
-      itself refines to exactly 0 (its expansion noise is far below the
-      cutoff, and the direct difference is 0) and no distance is negative,
-      so skipping the closest point removes one 0 from the row; setting the
-      diagonal of the chunk's square block to inf removes the same value, so
-      a duplicate's 0 stays in.
-    - Otherwise each chunk meets all points, n_q x n entries in all, and the
-      k-th smallest entry of each row is found in place: k - 1 times (k with
-      exclude_self) the row's argmin entry is set to inf, then the row
+      triangle in row chunks of `_KNN_CHUNK_ELEMS` entries, n(n + h)/2
+      entries for chunk height h. Each row's distance to itself refines to
+      exactly 0 (its expansion noise is far below the cutoff, and the
+      direct difference is 0) and no distance is negative, so skipping the
+      closest point removes one 0 from the row; setting the diagonal of the
+      chunk's square block to inf removes the same value, so a duplicate's
+      0 stays in.
+    - Otherwise each row chunk meets all points, n_q x n entries in all, and
+      the k-th smallest entry of each row is found in place: k - 1 times (k
+      with exclude_self) the row's argmin entry is set to inf, then the row
       minimum is taken. Ties count with their multiplicity, as in a sort.
+      The triangle and the knockouts prune nothing, so they need no margin.
 
-    Both sets must be finite 2-D matrices with the same number of columns
-    and finite squared row norms, k an integer (not a bool) from 1 to the
-    number of usable points, and exclude_self a bool.
+    Both sets must be finite 2-D matrices with at least one column, the
+    same number of columns and finite squared row norms, k an integer (not
+    a bool) from 1 to the number of usable points, and exclude_self a bool.
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise ValueError(f"k must be an integer, got {k!r}")
@@ -105,8 +172,9 @@ def knn_distances(queries: Matrix, points: Matrix, k: int,
     points = np.asarray(points, dtype=np.float64)
     queries = points if same else np.asarray(queries, dtype=np.float64)
     for what, mat in (("queries", queries), ("points", points)):
-        if mat.ndim != 2:
-            raise ValueError(f"{what} must be a 2-D matrix, got shape {mat.shape}")
+        if mat.ndim != 2 or mat.shape[1] == 0:
+            raise ValueError(f"{what} must be a 2-D matrix with at least one "
+                             f"column, got shape {mat.shape}")
         if not np.isfinite(mat).all():
             raise ValueError(f"{what} entries must be finite")
     if queries.shape[1] != points.shape[1]:
@@ -122,6 +190,8 @@ def knn_distances(queries: Matrix, points: Matrix, k: int,
     if not math.isfinite(scale):
         raise ValueError("squared row norms must be finite; entries near 1e154 "
                          "or larger overflow them")
+    if k == 1 and not exclude_self:
+        return np.sqrt(_sweep_nearest(queries, points, p2, scale))
     triangle = exclude_self and same and k == 1
     kth = k + (1 if exclude_self else 0)
     chunk = max(1, _KNN_CHUNK_ELEMS // points.shape[0])
@@ -144,20 +214,20 @@ def knn_distances(queries: Matrix, points: Matrix, k: int,
 def kl_estimate(reduced: Matrix, original: Matrix, k: int = 1) -> KlEstimate:
     """Estimate D(P'||P) from reduced ~ P' and original ~ P.
 
+    Both sets are taken as float64 once, and `knn_distances` checks them:
     rho passes `reduced` as both queries and points, so at k = 1 it is a
-    self search that computes each pair once; nu, and rho at k >= 2, meet
-    every pair of their two sets (module note).
+    self search that computes each pair once, and it needs l' >= k + 1; nu
+    searches `original`, by the projection sweep at k = 1, and needs l >= k
+    (module note).
     """
-    _validate_samples(reduced, min_rows=k + 1)
-    _validate_samples(original, min_rows=k)
-    if reduced.shape[1] != original.shape[1]:
-        raise ValueError("sample sets must share a dimension")
-    l_prime, d = reduced.shape
-    l = original.shape[0]
+    reduced = np.asarray(reduced, dtype=np.float64)
+    original = np.asarray(original, dtype=np.float64)
     rho = np.maximum(knn_distances(reduced, reduced, k, exclude_self=True),
                      DISTANCE_FLOOR)
     nu = np.maximum(knn_distances(reduced, original, k, exclude_self=False),
                     DISTANCE_FLOOR)
+    l_prime, d = reduced.shape
+    l = original.shape[0]
     value = (d / l_prime) * float(np.log(nu / rho).sum()) + math.log(l / (l_prime - 1))
     return KlEstimate(value=value)
 
@@ -168,6 +238,7 @@ def score_reduction(tokens: Matrix, plan: ReductionPlan, k: int = 1) -> float:
     Lower is better (the kept rows look more like the original distribution).
     See the module note on the coincident-point floor.
     """
+    tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.shape[0] != plan.original_len:
         raise ValueError(
             f"token count {tokens.shape[0]} does not match plan over {plan.original_len}")

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from tokenrnr import klnn
 from tokenrnr.core import make_rng, pairwise_sq_dists
-from tokenrnr.klnn import kl_estimate, knn_distances, score_reduction
+from tokenrnr.klnn import DISTANCE_FLOOR, kl_estimate, knn_distances, score_reduction
 from tokenrnr.matching import partition_3d, pairwise_best_match
 from tokenrnr.rnr import ReductionPlan, build_plan
 
@@ -92,6 +94,7 @@ class TestKnnDistance:
         (np.zeros((1, 2)), np.ones((3, 2)), (1, None), "exclude_self must be a bool"),
         (np.zeros((1, 2)), np.ones((3, 2)), (1, np.int64(1)),
          "exclude_self must be a bool"),
+        (np.zeros((1, 0)), np.ones((3, 0)), 1, "queries must be a 2-D matrix"),
     ])
     def test_malformed_inputs_rejected(self, monkeypatch, queries, points, k, match):
         # each is refused by name before any distance work starts, and all
@@ -138,7 +141,8 @@ class TestKnnDistance:
         queries = rng.standard_normal((20, 8))
         queries[3] = points[11] + 3e-3 * rng.standard_normal(8)
         queries[15] *= 1e3
-        monkeypatch.setattr(klnn, "_KNN_CHUNK_ELEMS", chunk_rows * len(points))
+        monkeypatch.setattr(klnn, "_SWEEP_ROWS", chunk_rows)
+        monkeypatch.setattr(klnn, "_SWEEP_WINDOW", 64)
         want = np.sqrt(((queries[3] - points) ** 2).sum(1)).min()
         assert knn_distances(queries, points, 1)[3] == want
 
@@ -210,6 +214,83 @@ class TestKnnDistance:
         calls.clear()
         knn_distances(points, points.copy(), 1, exclude_self=True)
         assert sum(calls) == n * n
+
+    @pytest.mark.parametrize("window, rows", [(8, 3), (1024, 26)])
+    def test_sweep_equals_the_sort_on_integer_ties(self, monkeypatch, window, rows):
+        # integer coordinates make every distance exact and every point has
+        # 2-3 copies, so projections and distances tie; a window of 8 points
+        # and chunks of 3 rows make most chunks meet both side ranges
+        monkeypatch.setattr(klnn, "_SWEEP_WINDOW", window)
+        monkeypatch.setattr(klnn, "_SWEEP_ROWS", rows)
+        rng = make_rng(31)
+        uniq = rng.integers(-4, 5, size=(40, 3))
+        points = np.repeat(uniq, rng.integers(2, 4, size=40), axis=0)
+        queries = np.vstack([points[::3], rng.integers(-6, 7, size=(30, 3))])
+        direct = np.sqrt(((queries[:, None, :] - points[None]) ** 2).sum(2))
+        assert np.array_equal(knn_distances(queries, points, 1), direct.min(axis=1))
+
+    def test_sweep_matches_naive_distances_on_gaussians(self):
+        reduced, original = gaussian_pair(41, 2000, 4, np.array([1.0, 0.0, 0.0, 0.0]))
+        want = [naive_distances(original, q).min() for q in reduced]
+        np.testing.assert_allclose(knn_distances(reduced, original, 1), want,
+                                   rtol=1e-12, atol=0)
+
+    def test_sweep_meets_a_point_at_the_bound(self, monkeypatch):
+        # along the one axis the window of one point holds 3, so the query's
+        # bound is 3 and -3 lies on it, left of the window: it is met
+        met = []
+
+        def recording(a, b, *rest):
+            met.extend(b[:, 0])
+            return pairwise_sq_dists(a, b, *rest)
+
+        monkeypatch.setattr(klnn, "pairwise_sq_dists", recording)
+        monkeypatch.setattr(klnn, "_SWEEP_WINDOW", 1)
+        points = np.array([[-10.0], [-3.0], [3.0], [10.0]])
+        assert knn_distances(np.zeros((1, 1)), points, 1)[0] == 3.0
+        assert sorted(met) == [-3.0, 3.0]
+
+    def test_sweep_degenerate_sets(self, monkeypatch):
+        # integer coordinates keep every distance exact
+        monkeypatch.setattr(klnn, "_SWEEP_WINDOW", 16)
+        rng = make_rng(42)
+        queries = rng.integers(-5, 6, size=(40, 3))
+        assert knn_distances(queries[:0], queries, 1).shape == (0,)
+        # every point on one projection value: the scatter is 0
+        same = np.tile([1, -2, 3], (100, 1))
+        assert np.array_equal(knn_distances(queries, same, 1),
+                              np.sqrt(((queries - same[0]) ** 2).sum(1)))
+        # d = 1
+        line = rng.integers(-50, 51, size=(300, 1))
+        assert np.array_equal(knn_distances(queries[:, :1], line, 1),
+                              np.abs(queries[:, :1] - line.T).min(axis=1))
+        # entries near 1e153 over 2000 rows overflow the scatter, and the
+        # sweep falls back to the first coordinate axis
+        big = rng.standard_normal((2000, 3)) * 1e153
+        near = rng.standard_normal((30, 3)) * 1e153
+        np.testing.assert_allclose(knn_distances(near, big, 1),
+                                   np.sqrt(pairwise_sq_dists(near, big).min(axis=1)),
+                                   rtol=1e-12, atol=0)
+
+    def test_sweep_prunes_and_meets_each_pair_at_most_once(self, monkeypatch):
+        # rows x cols summed over the distance calls; the wrapper takes
+        # positional arguments only, as every call in klnn passes them
+        calls = []
+
+        def counting(a, b, *rest):
+            calls.append(a.shape[0] * b.shape[0])
+            return pairwise_sq_dists(a, b, *rest)
+
+        monkeypatch.setattr(klnn, "pairwise_sq_dists", counting)
+        reduced, original = gaussian_pair(43, 3000, 4, np.array([1.0, 0.0, 0.0, 0.0]))
+        knn_distances(reduced, original, 1)
+        assert sum(calls) < len(reduced) * len(original)
+        # queries 100 off the points' plane: every bound spans all points
+        flat = np.hstack([original[:, :2], np.zeros((3000, 1))])
+        lifted = np.hstack([reduced[:500, :2], np.full((500, 1), 100.0)])
+        calls.clear()
+        knn_distances(lifted, flat, 1)
+        assert sum(calls) == 500 * 3000
 
     @pytest.mark.parametrize("n, d", [(5000, 4), (600, 64)])
     def test_self_search_matches_the_row_chunk_path(self, n, d):
@@ -294,6 +375,20 @@ class TestKlEstimate:
         for k in (1, 2):
             assert kl_estimate(*ints, k=k).value == pytest.approx(
                 knn_density_kl(*ints, k=k), abs=1e-9)
+
+    def test_nested_and_integer_lists_accepted(self):
+        # reduced [0, 1, 3] against original [0, 2, 3] on a line: rho is
+        # 1, 1, 2 and nu 0 (floored), 1, 0 (floored)
+        want = (math.log(DISTANCE_FLOOR) + math.log(DISTANCE_FLOOR / 2)) / 3 \
+            + math.log(3 / 2)
+        for reduced, original in (([[0.0], [1.0], [3.0]], [[0.0], [2.0], [3.0]]),
+                                  ([[0], [1], [3]], [[0], [2], [3]])):
+            assert kl_estimate(reduced, original).value == pytest.approx(want, rel=1e-12)
+        tokens = [[0, 0], [1, 0], [3, 0], [0, 2]]
+        plan = ReductionPlan(kept=np.array([0, 1, 2]), discarded=np.array([3]),
+                             reps=np.array([0]), original_len=4)
+        assert score_reduction(tokens, plan) == kl_estimate(
+            np.array(tokens[:3], dtype=np.float64), tokens).value
 
     def test_degenerate_counts_rejected(self):
         with pytest.raises(ValueError):

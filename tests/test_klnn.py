@@ -183,37 +183,49 @@ class TestKnnDistance:
                     knn_distances(int_points, int_points, k, exclude_self=True), got)
 
     def test_self_search_computes_each_pair_once(self, monkeypatch):
-        # rows x cols summed over the distance calls: a k = 1 self search
-        # visits the upper triangle in chunks of h rows, at most n(n + h)/2
-        # entries, also on an integer set, whose cast keeps it one object; a
-        # self search at k >= 2 and a cross search compute every query-point
-        # pair; no call holds more than a row chunk
-        calls = []
+        # rows x cols summed over the distance calls of each kernel: a k = 1
+        # self search visits the upper triangle in chunks of h rows through
+        # the one-GEMM block, at most n(n + h)/2 entries, also on an integer
+        # set, whose cast keeps it one object; a self search at k >= 2 and a
+        # cross search compute every query-point pair through
+        # pairwise_sq_dists; no call holds more than a row chunk
+        calls = {"_augmented_sq_dists": [], "pairwise_sq_dists": []}
 
-        def counting(a, b, *rest):
-            calls.append(a.shape[0] * b.shape[0])
-            return pairwise_sq_dists(a, b, *rest)
+        def counting(name):
+            kernel = getattr(klnn, name)
 
-        monkeypatch.setattr(klnn, "pairwise_sq_dists", counting)
+            def count(a, b, *rest):
+                calls[name].append(a.shape[0] * b.shape[0])
+                return kernel(a, b, *rest)
+            return count
+
+        for name in calls:
+            monkeypatch.setattr(klnn, name, counting(name))
         rng = make_rng(21)
         points = rng.standard_normal((1000, 3))
         n = len(points)
         h = klnn._KNN_CHUNK_ELEMS // n
         ints = np.rint(100 * points).astype(np.int64)
-        for pts, k, most in ((points, 1, n * (n + h) // 2),
-                             (ints, 1, n * (n + h) // 2), (points, 3, n * n)):
-            calls.clear()
+        for pts, k, most, name in (
+                (points, 1, n * (n + h) // 2, "_augmented_sq_dists"),
+                (ints, 1, n * (n + h) // 2, "_augmented_sq_dists"),
+                (points, 3, n * n, "pairwise_sq_dists")):
+            for counted in calls.values():
+                counted.clear()
             knn_distances(pts, pts, k, exclude_self=True)
-            assert sum(calls) <= most
-            assert max(calls) <= h * n
-        assert sum(calls) == n * n
+            assert sum(calls[name]) <= most
+            assert max(calls[name]) <= h * n
+            assert all(not counted for other, counted in calls.items()
+                       if other != name)
+        assert sum(calls["pairwise_sq_dists"]) == n * n
         queries = rng.standard_normal((300, 3))
-        calls.clear()
+        calls["pairwise_sq_dists"].clear()
         knn_distances(queries, points, 2, exclude_self=True)
-        assert sum(calls) == len(queries) * n
-        calls.clear()
+        assert sum(calls["pairwise_sq_dists"]) == len(queries) * n
+        calls["pairwise_sq_dists"].clear()
         knn_distances(points, points.copy(), 1, exclude_self=True)
-        assert sum(calls) == n * n
+        assert sum(calls["pairwise_sq_dists"]) == n * n
+        assert not calls["_augmented_sq_dists"]
 
     @pytest.mark.parametrize("window, rows", [(8, 3), (1024, 26)])
     def test_sweep_equals_the_sort_on_integer_ties(self, monkeypatch, window, rows):
@@ -307,6 +319,30 @@ class TestKnnDistance:
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
             else:
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 7, 12, 20])
+    def test_triangle_near_zero_refine_does_not_depend_on_chunking(
+            self, monkeypatch, chunk_rows):
+        # row 3 sits 3e-3 from row 11, and row 15, scaled by 1e3, raises the
+        # refine scale of the whole set, so the pair is recomputed exactly
+        # whether rows 3 and 11 share a chunk (12 and 20 rows) or not
+        rng = make_rng(0)
+        points = rng.standard_normal((300, 8))
+        points[3] = points[11] + 3e-3 * rng.standard_normal(8)
+        points[15] *= 1e3
+        monkeypatch.setattr(klnn, "_KNN_CHUNK_ELEMS", chunk_rows * len(points))
+        want = np.sqrt(((points[3] - points[11]) ** 2).sum())
+        rho = knn_distances(points, points, 1, exclude_self=True)
+        assert rho[3] == want
+        assert rho[11] == want
+
+    @pytest.mark.parametrize("n, d", [(2000, 4), (500, 64)])
+    def test_triangle_matches_naive_distances_on_gaussians(self, n, d):
+        points = make_rng(44).standard_normal((n, d))
+        want = [np.delete(naive_distances(points, q), i).min()
+                for i, q in enumerate(points)]
+        np.testing.assert_allclose(knn_distances(points, points, 1, exclude_self=True),
+                                   want, rtol=1e-12, atol=0)
 
     def test_self_search_degenerate_sets(self):
         # all-zero rows make the refine scale 0 and every distance exactly 0;

@@ -179,8 +179,7 @@ def _augmented_points(b: Matrix, b_sq_norms: np.ndarray) -> np.ndarray:
     return out
 
 
-def _augmented_sq_dists(a: Matrix, b: Matrix, a_sq_norms: np.ndarray,
-                        b_aug: np.ndarray, refine_scale: float,
+def _augmented_sq_dists(a: Matrix, b_aug: np.ndarray, a_sq_norms: np.ndarray,
                         rows_buf: np.ndarray) -> np.ndarray:
     """Squared distances between rows of `a` and `b` in one GEMM: the rows
     `[x, 1, |x|^2]`, written into the first len(a) rows of `rows_buf` (d + 2
@@ -188,19 +187,19 @@ def _augmented_sq_dists(a: Matrix, b: Matrix, a_sq_norms: np.ndarray,
     `b_aug = _augmented_points(b, row_sq_norms(b))`.
 
     Each entry is one (d + 2)-term dot product |x|^2 + |y|^2 - 2 x.y, off by
-    at most about 2 (d + 3) eps times `refine_scale` (the largest squared row
-    norms of both sets summed), far below the cutoff
-    `_SQDIST_REFINE_REL * refine_scale`, so `pairwise_sq_dists`'s near-zero
-    refine applies unchanged: coincident rows read exactly 0 and no entry
-    stays negative. One pass over the (m, n) result for the GEMM and one for
-    the refine compare, against four for `pairwise_sq_dists`.
+    at most about 2 (d + 3) eps times the largest squared row norms of both
+    sets summed, far below `pairwise_sq_dists`'s near-zero cutoff. No refine
+    runs inside: the block is returned as the GEMM left it, and the caller
+    passes the rows it needs exact to `_refine_near_zero`, after which
+    coincident rows read exactly 0 and no refined entry stays negative. One
+    pass over the (m, n) result, against four for `pairwise_sq_dists`.
     """
     m, d = a.shape
     x = rows_buf[:m]
     x[:, :d] = a
     x[:, d] = 1.0
     x[:, d + 1] = a_sq_norms
-    return _refine_near_zero(x @ b_aug.T, a, b, refine_scale)
+    return x @ b_aug.T
 
 
 def checksum_matrix(mat: Matrix) -> str:

@@ -8,16 +8,17 @@ where rho_k(i) is the distance from X'_i to its k-th nearest neighbor within
 X' (excluding itself) and nu_k(i) the distance to its k-th nearest neighbor
 in X. Neighbor search is exact. Every distance comes from one kernel call
 per block of rows and columns, made with the squared norms of both sets and
-the refine scale computed once per search, and every kernel recomputes the
-entries at or below `_SQDIST_REFINE_REL * scale` by direct differences, so
-coincident rows read exactly 0 and which entries are refined does not
-depend on how a search is split. The sweep and the knockouts call
-`pairwise_sq_dists` (broadcast add, GEMM with the 2 of 2 x.y folded into
-its operand, subtract, refine compare): the benchmark's tracer times every
-`kl` pass's distances at `tokenrnr.klnn.pairwise_sq_dists` and requires the
-pass to enter it, and the knockouts are checked bitwise against a sort
-oracle built on that kernel. The triangle calls `_augmented_sq_dists`, one
-GEMM and the refine compare per block. A search takes one of three routes:
+the refine scale computed once per search, and every entry a result can
+read at or below `_SQDIST_REFINE_REL * scale` is recomputed by direct
+differences, so coincident rows read exactly 0 and which entries are
+refined does not depend on how a search is split. The sweep and the
+knockouts call `pairwise_sq_dists` (broadcast add, GEMM with the 2 of 2 x.y
+folded into its operand, subtract, refine compare): the benchmark's tracer
+times every `kl` pass's distances at `tokenrnr.klnn.pairwise_sq_dists` and
+requires the pass to enter it, and the knockouts are checked bitwise
+against a sort oracle built on that kernel. The triangle calls
+`_augmented_sq_dists`, one GEMM per block, and refines only the rows that
+need it. A search takes one of three routes:
 
 - The sweep, for k = 1 without exclude_self (every nu), after Friedman,
   Baskett and Shustek (1975). Both sets are projected on the points'
@@ -26,18 +27,28 @@ GEMM and the refine compare per block. A search takes one of three routes:
   projection order, `_SWEEP_ROWS` at a time. Each chunk first meets a
   window of the `_SWEEP_WINDOW` points nearest to it in projection order,
   whose minimum gives every row i an upper bound beta_i on its nearest
-  distance, and then only the points left and right of the window whose
-  projection lies within beta_i + margin of some row i. A point left out
-  lies farther than beta_i + margin from every row i along u, so farther
-  than beta_i from it, since |x - y| >= |u.x - u.y|. The margin, 2 sqrt(_SQDIST_REFINE_REL * scale),
-  covers rounding: the kernel's error on a squared distance stays below its
-  refine cutoff, _SQDIST_REFINE_REL * scale (the bound its refine rests
-  on), so a distance moves by at most half the margin, and the rounding of
-  the projections, about d eps sqrt(scale), fits in the other half. A pair
-  left out therefore never computes below the row's minimum. The window
-  and the two side ranges are disjoint, so the sweep meets each pair at
-  most once: from n_q x min(n, `_SWEEP_WINDOW`) entries up to n_q x n
-  when nothing can be pruned.
+  distance, and then, on each side of the window, the points whose
+  projection lies within beta_i + margin of row i. A point left out lies
+  farther than beta_i + margin from row i along u, so farther than beta_i
+  from it, since |x - y| >= |u.x - u.y|. The margin,
+  2 sqrt(_SQDIST_REFINE_REL * scale), covers rounding: the kernel's error
+  on a squared distance stays below its refine cutoff,
+  _SQDIST_REFINE_REL * scale (the bound its refine rests on), so a
+  distance moves by at most half the margin, and the rounding of the
+  projections, about d eps sqrt(scale), fits in the other half. A pair
+  left out therefore never computes below the row's minimum.
+  Each row's extent on a side is the run of sorted points from the window
+  edge out to its bound, found by `searchsorted`. Per side, the rows with
+  a nonzero extent are ordered by it and split into `_SWEEP_GROUPS`
+  groups of near-equal count; each group meets, in one kernel call, its
+  own rows against the run out to its farthest extent, which holds every
+  row's own run. A row sits in one group per side, and the window and the
+  two sides are disjoint, so the sweep meets each pair at most once: from
+  n_q x min(n, `_SWEEP_WINDOW`) entries up to n_q x n when nothing can be
+  pruned. On the `kl` benchmark's ten 5000 x 4 Gaussian pairs the groups
+  meet 16.7M side entries, where the rows' own runs hold 8.3M and one
+  union of each chunk's runs would meet 97.0M; the window's 51.2M is most
+  of what the sweep meets.
 - The triangle, for a k = 1 self search (rho: `exclude_self` with
   `queries is points`), uses the symmetry of the distance matrix: row
   chunks of at most `_KNN_CHUNK_ELEMS` entries, chunk [lo, hi) meeting
@@ -49,7 +60,13 @@ GEMM and the refine compare per block. A search takes one of three routes:
   the points [-2y, |y|^2, 1], whose operand is built once per search; the
   chunk's rows go into one reused (h, d + 2) buffer. An entry is off by
   about 2 (d + 3) eps scale at most, far below the refine cutoff, and the
-  triangle prunes nothing, so it needs no margin.
+  triangle prunes nothing, so it needs no margin. The block's diagonal
+  (each row against itself, always near 0) is set to inf first, then the
+  row minima are taken, and only the rows whose minimum is at or below
+  the cutoff are refined, so a block of distinct points skips the refine
+  compare; every off-diagonal entry at or below the cutoff lies in such a
+  row, so the same entries are refined as by a compare over the whole
+  block. The column minima are taken last, from the refined block.
 - The knockouts, for every other search (k >= 2, or exclude_self across
   two sets), meet all points in the same row chunks, n_q x n entries, and
   take each row's k-th smallest in place: the row minimum is set to inf
@@ -75,18 +92,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_SQDIST_REFINE_REL, Matrix, _augmented_points,
-                   _augmented_sq_dists, pairwise_sq_dists, row_sq_norms)
+                   _augmented_sq_dists, _refine_near_zero, pairwise_sq_dists,
+                   row_sq_norms)
 from .rnr import ReductionPlan
 
 DISTANCE_FLOOR = 1e-12
 
 # squared distances per query chunk (rows x columns met), as in matching
 _KNN_CHUNK_ELEMS = 1 << 18
-# the sweep's query rows per chunk and the points each chunk meets first;
-# windows of 512-1536 points and chunks of 20-78 rows timed within noise of
-# each other on the kl benchmark, and this pair fastest at its minimum
-_SWEEP_ROWS = 26
+# the sweep's query rows per chunk, the points each chunk meets first, and
+# the groups its rows are split into on each side of them; on the kl
+# benchmark's nu searches, chunks of 78-208 rows in 2-5 groups timed within
+# 10% of each other (0.34-0.38 s per pass), and this triple fastest
+_SWEEP_ROWS = 104
 _SWEEP_WINDOW = 1024
+_SWEEP_GROUPS = 3
 
 
 @dataclass(frozen=True)
@@ -124,12 +144,18 @@ def _sweep_nearest(queries: np.ndarray, points: np.ndarray, p2: np.ndarray,
         b = a + width
         d2 = pairwise_sq_dists(q, points[a:b], p2[a:b], scale).min(axis=1)
         reach = np.sqrt(d2) + margin
-        left = int(np.searchsorted(proj[:a], (qp - reach).min()))
-        right = b + int(np.searchsorted(proj[b:], (qp + reach).max(), side="right"))
-        for c0, c1 in ((left, a), (b, right)):
-            if c0 < c1:
-                np.minimum(d2, pairwise_sq_dists(q, points[c0:c1], p2[c0:c1],
-                                                 scale).min(axis=1), out=d2)
+        # each row's own extent left of the window and right of it
+        left = a - np.searchsorted(proj[:a], qp - reach)
+        right = np.searchsorted(proj[b:], qp + reach, side="right")
+        for extent, side in ((left, -1), (right, 1)):
+            need = np.flatnonzero(extent)
+            need = need[np.argsort(extent[need], kind="stable")]
+            for group in np.array_split(need, _SWEEP_GROUPS):
+                if group.size:
+                    e = int(extent[group[-1]])
+                    c0, c1 = (a - e, a) if side < 0 else (b, b + e)
+                    d2[group] = np.minimum(d2[group], pairwise_sq_dists(
+                        q[group], points[c0:c1], p2[c0:c1], scale).min(axis=1))
         best[rows] = d2
     return best
 
@@ -150,12 +176,17 @@ def knn_distances(queries: Matrix, points: Matrix, k: int,
 
     - k = 1 without exclude_self sweeps the points in the order of their
       projection on their leading principal axis, `_SWEEP_ROWS` query rows
-      at a time: a window of `_SWEEP_WINDOW` points, then the points beyond
-      it within each row's window distance plus a margin of
-      2 sqrt(_SQDIST_REFINE_REL * scale) along that axis; from
-      n_q x min(n, `_SWEEP_WINDOW`) to n_q x n entries, none twice. A pair it leaves out computes no
-      smaller than the row's minimum, so the result is that of a search of
-      all pairs, up to the rounding of differently shaped GEMMs.
+      at a time: a window of `_SWEEP_WINDOW` points, then on each side of
+      it the points within each row's window distance plus a margin of
+      2 sqrt(_SQDIST_REFINE_REL * scale) along that axis. Per side the
+      rows that need any point there are ordered by how far they reach and
+      split into `_SWEEP_GROUPS` groups, and each group meets the run out
+      to its farthest row's reach in one call; every row's own run lies in
+      its group's, and a row is in one group per side, so no pair is met
+      twice: from n_q x min(n, `_SWEEP_WINDOW`) to n_q x n entries. A pair
+      it leaves out computes no smaller than the row's minimum, so the
+      result is that of a search of all pairs, up to the rounding of
+      differently shaped GEMMs.
     - `queries is points` with exclude_self and k = 1 meets the upper
       triangle in row chunks of `_KNN_CHUNK_ELEMS` entries, n(n + h)/2
       entries for chunk height h, each block [lo, hi) x [lo, n) one GEMM
@@ -164,11 +195,18 @@ def knn_distances(queries: Matrix, points: Matrix, k: int,
       refine cutoff, so the refine of `pairwise_sq_dists` applies
       unchanged; the other two routes keep calling that kernel for the
       benchmark's traced span and the sort oracle's bitwise check. Each
-      row's distance to itself refines to exactly 0 (its expansion noise
-      is far below the cutoff, and the direct difference is 0) and no
-      distance is negative, so skipping the closest point removes one 0
-      from the row; setting the diagonal of the chunk's square block to
-      inf removes the same value, so a duplicate's 0 stays in.
+      block then, in this order, sets its diagonal (each row against
+      itself) to inf, takes the row minima, refines with
+      `_refine_near_zero` only the rows whose minimum is at or below the
+      cutoff, and takes the column minima. Each row's distance to itself
+      would refine to exactly 0 and no distance is negative, so skipping
+      the closest point removes one 0 from the row; the inf removes the
+      same value, so a duplicate's 0 stays in. Any off-diagonal entry at
+      or below the cutoff puts its row under the gate, so the refined
+      entries are those of a compare over the whole block and every
+      result is bitwise the same; a block of distinct points skips the
+      compare. Knocking out the diagonal after the row minima would put
+      every row under the gate.
     - Otherwise each row chunk meets all points, n_q x n entries in all, and
       the k-th smallest entry of each row is found in place: k - 1 times (k
       with exclude_self) the row's argmin entry is set to inf, then the row
@@ -218,15 +256,23 @@ def knn_distances(queries: Matrix, points: Matrix, k: int,
         hi = min(lo + chunk, queries.shape[0])
         rows = np.arange(hi - lo)
         if triangle:
-            d2 = _augmented_sq_dists(points[lo:hi], points[lo:], p2[lo:hi],
-                                     points_aug[lo:], scale, rows_buf)
+            d2 = _augmented_sq_dists(points[lo:hi], points_aug[lo:], p2[lo:hi],
+                                     rows_buf)
             d2[rows, rows] = np.inf  # each row's distance to itself
+            row_min = d2.min(axis=1)
+            near = np.flatnonzero(row_min <= _SQDIST_REFINE_REL * scale)
+            if near.size:
+                refined = _refine_near_zero(d2[near], points[lo + near],
+                                            points[lo:], scale)
+                d2[near] = refined
+                row_min[near] = refined.min(axis=1)
             np.minimum(best[hi:], d2[:, hi - lo:].min(axis=0), out=best[hi:])
         else:
             d2 = pairwise_sq_dists(queries[lo:hi], points, p2, scale)
             for _ in range(kth - 1):
                 d2[rows, d2.argmin(axis=1)] = np.inf
-        np.minimum(best[lo:hi], d2.min(axis=1), out=best[lo:hi])
+            row_min = d2.min(axis=1)
+        np.minimum(best[lo:hi], row_min, out=best[lo:hi])
     return np.sqrt(best)
 
 

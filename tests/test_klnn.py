@@ -241,6 +241,48 @@ class TestKnnDistance:
         direct = np.sqrt(((queries[:, None, :] - points[None]) ** 2).sum(2))
         assert np.array_equal(knn_distances(queries, points, 1), direct.min(axis=1))
 
+    def test_sweep_groups_equal_the_sort_on_integer_ties(self, monkeypatch):
+        # the same tied integer sets as above, with one group per side, a
+        # group per row, and counts between; every distance is exact, so
+        # however the rows are grouped the minima are the sort's bits
+        rng = make_rng(31)
+        uniq = rng.integers(-4, 5, size=(40, 3))
+        points = np.repeat(uniq, rng.integers(2, 4, size=40), axis=0)
+        queries = np.vstack([points[::3], rng.integers(-6, 7, size=(30, 3))])
+        want = np.sqrt(((queries[:, None, :] - points[None]) ** 2).sum(2)).min(axis=1)
+        for window, rows, groups in ((8, 3, 1), (8, 3, 3), (8, 12, 1), (8, 12, 5),
+                                     (16, 12, 12), (4, 40, 7), (1024, 104, 3)):
+            monkeypatch.setattr(klnn, "_SWEEP_WINDOW", window)
+            monkeypatch.setattr(klnn, "_SWEEP_ROWS", rows)
+            monkeypatch.setattr(klnn, "_SWEEP_GROUPS", groups)
+            assert np.array_equal(knn_distances(queries, points, 1), want)
+
+    def test_sweep_groups_meet_fewer_entries_than_the_union(self, monkeypatch):
+        # points on the integers -100..100 of one axis; eight queries sit
+        # half a step from two of them and reach a few points past a window
+        # of 2, and one sits 40 off the axis, so its bound reaches about 40
+        # points each side. One chunk of 9 rows in 3 groups per side: only
+        # the far row's group meets the far points, and no pair is met twice
+        met = []
+
+        def recording(a, b, *rest):
+            met.extend((tuple(x), tuple(y)) for x in a for y in b)
+            return pairwise_sq_dists(a, b, *rest)
+
+        monkeypatch.setattr(klnn, "pairwise_sq_dists", recording)
+        monkeypatch.setattr(klnn, "_SWEEP_WINDOW", 2)
+        monkeypatch.setattr(klnn, "_SWEEP_ROWS", 9)
+        monkeypatch.setattr(klnn, "_SWEEP_GROUPS", 3)
+        points = np.column_stack([np.arange(-100.0, 101.0), np.zeros(201)])
+        queries = np.vstack([np.column_stack([np.arange(-3.5, 4.0), np.zeros(8)]),
+                             [[0.0, 40.0]]])
+        assert np.array_equal(knn_distances(queries, points, 1), [0.5] * 8 + [40.0])
+        assert len(met) == len(set(met))
+        columns = {y for _, y in met}
+        assert len(columns) >= 2 + 2 * 38  # the far row's sides were met
+        # the union of the sides would meet every column met for every row
+        assert len(met) < len(queries) * len(columns) / 2
+
     def test_sweep_matches_naive_distances_on_gaussians(self):
         reduced, original = gaussian_pair(41, 2000, 4, np.array([1.0, 0.0, 0.0, 0.0]))
         want = [naive_distances(original, q).min() for q in reduced]
@@ -335,6 +377,34 @@ class TestKnnDistance:
         rho = knn_distances(points, points, 1, exclude_self=True)
         assert rho[3] == want
         assert rho[11] == want
+
+    def test_triangle_refines_only_rows_with_a_near_zero_minimum(self, monkeypatch):
+        # each block's diagonal is knocked out before its row minima are
+        # taken, so only a row whose nearest other point lies within the
+        # refine cutoff is refined; taking the minima first would refine
+        # every row, since each row's distance to itself is near 0
+        refined = []
+        refine = klnn._refine_near_zero
+
+        def recording(d2, a, *rest):
+            refined.extend(tuple(row) for row in a)
+            return refine(d2, a, *rest)
+
+        monkeypatch.setattr(klnn, "_refine_near_zero", recording)
+        points = make_rng(45).standard_normal((2000, 4))
+        knn_distances(points, points, 1, exclude_self=True)
+        assert not refined
+        h = klnn._KNN_CHUNK_ELEMS // len(points)
+        # rows 5 and 7 share a chunk, so both blocks hold the pair; row 1500
+        # lies in a later chunk, whose columns start right of row 5
+        for i, j, rows in ((5, 7, 2), (5, 1500, 1)):
+            assert (i // h == j // h) == (rows == 2)
+            dup = points.copy()
+            dup[j] = dup[i]
+            refined.clear()
+            rho = knn_distances(dup, dup, 1, exclude_self=True)
+            assert rho[i] == 0.0 and rho[j] == 0.0
+            assert refined == [tuple(dup[i])] * rows
 
     @pytest.mark.parametrize("n, d", [(2000, 4), (500, 64)])
     def test_triangle_matches_naive_distances_on_gaussians(self, n, d):

@@ -11,14 +11,24 @@ per block of rows and columns, made with the squared norms of both sets and
 the refine scale computed once per search, and every entry a result can
 read at or below `_SQDIST_REFINE_REL * scale` is recomputed by direct
 differences, so coincident rows read exactly 0 and which entries are
-refined does not depend on how a search is split. The sweep and the
-knockouts call `pairwise_sq_dists` (broadcast add, GEMM with the 2 of 2 x.y
-folded into its operand, subtract, refine compare): the benchmark's tracer
-times every `kl` pass's distances at `tokenrnr.klnn.pairwise_sq_dists` and
-requires the pass to enter it, and the knockouts are checked bitwise
-against a sort oracle built on that kernel. The triangle calls
-`_augmented_sq_dists`, one GEMM per block, and refines only the rows that
-need it. A search takes one of three routes:
+refined does not depend on how a search is split. Two kernels serve the
+routes below. The sweep's window and the knockouts call
+`pairwise_sq_dists` (broadcast add, GEMM with the 2 of 2 x.y folded into
+its operand, subtract, refine compare). The window is the one part every
+sweep runs, small sets included, so it keeps that kernel: the benchmark's
+tracer times every `kl` pass's distances at
+`tokenrnr.klnn.pairwise_sq_dists` and requires the pass to enter it, the
+sort oracle checks the window (k = 1 inside one window) and the knockouts
+bitwise against sorted `pairwise_sq_dists` rows, and moving either onto
+the other kernel waits for the benchmark to retarget that span (ROADMAP
+item 1). The sweep's sides and the triangle call `_augmented_sq_dists`,
+one GEMM of the rows [x, 1, |x|^2] against the points [-2y, |y|^2, 1] per
+block, off by about 2 (d + 3) eps scale at most, far below the refine
+cutoff; `_gated_row_minima` then refines only the rows whose minimum is at
+or below the cutoff. Every entry at or below the cutoff lies in such a row,
+so the same entries are refined as by a compare over the whole block, and
+a block of distinct points skips the compare. A search takes one of three
+routes:
 
 - The sweep, for k = 1 without exclude_self (every nu), after Friedman,
   Baskett and Shustek (1975). Both sets are projected on the points'
@@ -31,24 +41,28 @@ need it. A search takes one of three routes:
   projection lies within beta_i + margin of row i. A point left out lies
   farther than beta_i + margin from row i along u, so farther than beta_i
   from it, since |x - y| >= |u.x - u.y|. The margin,
-  2 sqrt(_SQDIST_REFINE_REL * scale), covers rounding: the kernel's error
-  on a squared distance stays below its refine cutoff,
-  _SQDIST_REFINE_REL * scale (the bound its refine rests on), so a
+  2 sqrt(_SQDIST_REFINE_REL * scale), covers rounding: either kernel's
+  error on a squared distance stays below the refine cutoff,
+  _SQDIST_REFINE_REL * scale (the bound the refine rests on), so a
   distance moves by at most half the margin, and the rounding of the
   projections, about d eps sqrt(scale), fits in the other half. A pair
   left out therefore never computes below the row's minimum.
   Each row's extent on a side is the run of sorted points from the window
   edge out to its bound, found by `searchsorted`. Per side, the rows with
   a nonzero extent are ordered by it and split into `_SWEEP_GROUPS`
-  groups of near-equal count; each group meets, in one kernel call, its
-  own rows against the run out to its farthest extent, which holds every
-  row's own run. A row sits in one group per side, and the window and the
-  two sides are disjoint, so the sweep meets each pair at most once: from
+  groups of near-equal count; each group meets, in one
+  `_augmented_sq_dists` GEMM against the sorted points' operand, its own
+  rows against the run out to its farthest extent, which holds every
+  row's own run. That operand is
+  built at the first group that needs one: queries that are rows of the
+  points (a plan's kept tokens) find themselves in the window, and when
+  every chunk's rows fit in it no row reaches a side and the search builds
+  none. A row sits in one group per side, and the window and the two sides
+  are disjoint, so the sweep meets each pair at most once: from
   n_q x min(n, `_SWEEP_WINDOW`) entries up to n_q x n when nothing can be
-  pruned. On the `kl` benchmark's ten 5000 x 4 Gaussian pairs the groups
-  meet 16.7M side entries, where the rows' own runs hold 8.3M and one
-  union of each chunk's runs would meet 97.0M; the window's 51.2M is most
-  of what the sweep meets.
+  pruned. On the `kl` benchmark's ten 5000 x 4 Gaussian pairs the window
+  meets 16.0M entries, at four passes each, and the groups 60.4M side
+  entries, at one pass each, where the rows' own runs hold 37.4M.
 - The triangle, for a k = 1 self search (rho: `exclude_self` with
   `queries is points`), uses the symmetry of the distance matrix: row
   chunks of at most `_KNN_CHUNK_ELEMS` entries, chunk [lo, hi) meeting
@@ -56,17 +70,14 @@ need it. A search takes one of three routes:
   n^2; the column minima right of its square block update the rows below.
   A column minimum is the nearest neighbor those rows need; the k-th would
   need the k smallest of each column kept across chunks, so the triangle
-  is k = 1 only. Each block is one GEMM of the rows [x, 1, |x|^2] against
-  the points [-2y, |y|^2, 1], whose operand is built once per search; the
-  chunk's rows go into one reused (h, d + 2) buffer. An entry is off by
-  about 2 (d + 3) eps scale at most, far below the refine cutoff, and the
-  triangle prunes nothing, so it needs no margin. The block's diagonal
-  (each row against itself, always near 0) is set to inf first, then the
-  row minima are taken, and only the rows whose minimum is at or below
-  the cutoff are refined, so a block of distinct points skips the refine
-  compare; every off-diagonal entry at or below the cutoff lies in such a
-  row, so the same entries are refined as by a compare over the whole
-  block. The column minima are taken last, from the refined block.
+  is k = 1 only. Each block is one `_augmented_sq_dists` GEMM, whose
+  points' operand is built once per search; the chunk's rows go into one
+  reused (h, d + 2) buffer. The triangle prunes nothing, so it needs no
+  margin.
+  The block's diagonal (each row against itself, always near 0) is set to
+  inf before the refine gate takes the row minima, so only rows with a
+  near-zero off-diagonal entry are refined. The column minima are taken
+  last, from the refined block.
 - The knockouts, for every other search (k >= 2, or exclude_self across
   two sets), meet all points in the same row chunks, n_q x n entries, and
   take each row's k-th smallest in place: the row minimum is set to inf
@@ -100,13 +111,29 @@ DISTANCE_FLOOR = 1e-12
 
 # squared distances per query chunk (rows x columns met), as in matching
 _KNN_CHUNK_ELEMS = 1 << 18
-# the sweep's query rows per chunk, the points each chunk meets first, and
-# the groups its rows are split into on each side of them; on the kl
-# benchmark's nu searches, chunks of 78-208 rows in 2-5 groups timed within
-# 10% of each other (0.34-0.38 s per pass), and this triple fastest
+# the sweep's query rows per chunk, the points each chunk's window meets
+# through pairwise_sq_dists, and the groups its rows are split into on each
+# side of it, met by the one-GEMM block. The twelve nu searches of a kl
+# benchmark pass at seed 1009 (104-row chunks; seconds, min / median of 9
+# interleaved passes, 2 BLAS threads on a 2-vCPU Xeon):
+#   window  groups  window + side entries  seconds
+#      128       4         7.7M + 105.0M   0.34 / 0.41
+#      256       3        15.3M +  76.8M   0.22 / 0.26
+#      256       4        15.3M +  67.3M   0.23 / 0.27
+#      320       3        19.2M +  69.4M   0.22 / 0.27
+#      320       4        19.2M +  60.4M   0.22 / 0.26
+#      384       4        23.0M +  54.5M   0.21 / 0.25
+#      512       4        30.7M +  43.7M   0.25 / 0.30
+#     1024       3        61.4M +  17.0M   0.29 / 0.32
+# Windows of 256-384 in 3-4 groups time within noise, as do chunks of
+# 78-156 rows at (320, 4); six groups cost more in calls than they save in
+# entries. On that plateau a window of 320 holds every chunk of the
+# sparser benchmark plan (3892 kept of 8192 tokens), so neither plan search
+# reaches a side or builds its 4.1 MiB points operand; at 256, 46 of its
+# rows reach one.
 _SWEEP_ROWS = 104
-_SWEEP_WINDOW = 1024
-_SWEEP_GROUPS = 3
+_SWEEP_WINDOW = 320
+_SWEEP_GROUPS = 4
 
 
 @dataclass(frozen=True)
@@ -116,8 +143,24 @@ class KlEstimate:
     value: float
 
 
-def _sweep_nearest(queries: np.ndarray, points: np.ndarray, p2: np.ndarray,
-                   scale: float) -> np.ndarray:
+def _gated_row_minima(d2: np.ndarray, a: np.ndarray, b: np.ndarray,
+                      scale: float) -> np.ndarray:
+    """Row minima of the raw `_augmented_sq_dists` block `d2` between the
+    rows of `a` and `b`, after `_refine_near_zero` has refined, in place,
+    only the rows whose minimum is at or below `_SQDIST_REFINE_REL * scale`.
+    Every entry at or below that cutoff lies in such a row, so the entries
+    refined are those of a compare over the whole block."""
+    row_min = d2.min(axis=1)
+    near = np.flatnonzero(row_min <= _SQDIST_REFINE_REL * scale)
+    if near.size:
+        refined = _refine_near_zero(d2[near], a[near], b, scale)
+        d2[near] = refined
+        row_min[near] = refined.min(axis=1)
+    return row_min
+
+
+def _sweep_nearest(queries: np.ndarray, q2: np.ndarray, points: np.ndarray,
+                   p2: np.ndarray, scale: float) -> np.ndarray:
     """Squared distance from each query row to its nearest point, by the
     projection sweep of the module note."""
     n, d = points.shape
@@ -135,6 +178,7 @@ def _sweep_nearest(queries: np.ndarray, points: np.ndarray, p2: np.ndarray,
     qorder = np.argsort(qproj, kind="stable")
     margin = 2.0 * math.sqrt(_SQDIST_REFINE_REL * scale)
     width = min(_SWEEP_WINDOW, n)
+    points_aug = rows_buf = None
     best = np.empty(queries.shape[0])
     for lo in range(0, queries.shape[0], _SWEEP_ROWS):
         rows = qorder[lo:lo + _SWEEP_ROWS]
@@ -148,14 +192,27 @@ def _sweep_nearest(queries: np.ndarray, points: np.ndarray, p2: np.ndarray,
         left = a - np.searchsorted(proj[:a], qp - reach)
         right = np.searchsorted(proj[b:], qp + reach, side="right")
         for extent, side in ((left, -1), (right, 1)):
-            need = np.flatnonzero(extent)
-            need = need[np.argsort(extent[need], kind="stable")]
-            for group in np.array_split(need, _SWEEP_GROUPS):
-                if group.size:
-                    e = int(extent[group[-1]])
+            # the rows that need points on this side, ordered by extent
+            need = np.argsort(extent, kind="stable")[
+                len(rows) - np.count_nonzero(extent):]
+            if not need.size:
+                continue
+            if points_aug is None:  # the first chunk to reach a side
+                points_aug = _augmented_points(points, p2)
+                rows_buf = np.empty((_SWEEP_ROWS, d + 2))
+            qs, q2s, ends = q[need], q2[rows[need]], extent[need]
+            side_min = np.empty(len(need))
+            for g in range(_SWEEP_GROUPS):
+                g0 = g * len(need) // _SWEEP_GROUPS
+                g1 = (g + 1) * len(need) // _SWEEP_GROUPS
+                if g1 > g0:
+                    e = int(ends[g1 - 1])
                     c0, c1 = (a - e, a) if side < 0 else (b, b + e)
-                    d2[group] = np.minimum(d2[group], pairwise_sq_dists(
-                        q[group], points[c0:c1], p2[c0:c1], scale).min(axis=1))
+                    side_min[g0:g1] = _gated_row_minima(
+                        _augmented_sq_dists(qs[g0:g1], points_aug[c0:c1],
+                                            q2s[g0:g1], rows_buf),
+                        qs[g0:g1], points[c0:c1], scale)
+            d2[need] = np.minimum(d2[need], side_min)
         best[rows] = d2
     return best
 
@@ -176,16 +233,20 @@ def knn_distances(queries: Matrix, points: Matrix, k: int,
 
     - k = 1 without exclude_self sweeps the points in the order of their
       projection on their leading principal axis, `_SWEEP_ROWS` query rows
-      at a time: a window of `_SWEEP_WINDOW` points, then on each side of
-      it the points within each row's window distance plus a margin of
-      2 sqrt(_SQDIST_REFINE_REL * scale) along that axis. Per side the
-      rows that need any point there are ordered by how far they reach and
-      split into `_SWEEP_GROUPS` groups, and each group meets the run out
-      to its farthest row's reach in one call; every row's own run lies in
-      its group's, and a row is in one group per side, so no pair is met
-      twice: from n_q x min(n, `_SWEEP_WINDOW`) to n_q x n entries. A pair
-      it leaves out computes no smaller than the row's minimum, so the
-      result is that of a search of all pairs, up to the rounding of
+      at a time: a window of `_SWEEP_WINDOW` points, met through
+      `pairwise_sq_dists`, then on each side of it the points within each
+      row's window distance plus a margin of 2 sqrt(_SQDIST_REFINE_REL *
+      scale) along that axis. Per side the rows that need any point there
+      are ordered by how far they reach and split into `_SWEEP_GROUPS`
+      groups, and each group meets the run out to its farthest row's reach
+      in one GEMM of the triangle's kind, refined by the triangle's
+      row-minimum gate; every row's own run lies in its group's, and a row
+      is in one group per side, so no pair is met twice: from
+      n_q x min(n, `_SWEEP_WINDOW`) to n_q x n entries. The sides' points
+      operand is built at the first group that needs one. Both kernels err
+      by less than the refine cutoff, so a pair the sweep leaves out
+      computes no smaller than the row's minimum, and the result is that
+      of a search of all pairs, up to the rounding of the kernels and of
       differently shaped GEMMs.
     - `queries is points` with exclude_self and k = 1 meets the upper
       triangle in row chunks of `_KNN_CHUNK_ELEMS` entries, n(n + h)/2
@@ -193,20 +254,20 @@ def knn_distances(queries: Matrix, points: Matrix, k: int,
       of the rows [x, 1, |x|^2] against the points [-2y, |y|^2, 1]. Its
       rounding error, about 2 (d + 3) eps scale, stays far below the
       refine cutoff, so the refine of `pairwise_sq_dists` applies
-      unchanged; the other two routes keep calling that kernel for the
-      benchmark's traced span and the sort oracle's bitwise check. Each
-      block then, in this order, sets its diagonal (each row against
+      unchanged; the window and the knockouts keep calling that kernel
+      for the benchmark's traced span and the sort oracle's bitwise check.
+      Each block then, in this order, sets its diagonal (each row against
       itself) to inf, takes the row minima, refines with
       `_refine_near_zero` only the rows whose minimum is at or below the
-      cutoff, and takes the column minima. Each row's distance to itself
-      would refine to exactly 0 and no distance is negative, so skipping
-      the closest point removes one 0 from the row; the inf removes the
-      same value, so a duplicate's 0 stays in. Any off-diagonal entry at
-      or below the cutoff puts its row under the gate, so the refined
-      entries are those of a compare over the whole block and every
-      result is bitwise the same; a block of distinct points skips the
-      compare. Knocking out the diagonal after the row minima would put
-      every row under the gate.
+      cutoff (`_gated_row_minima`, shared with the sweep's sides), and
+      takes the column minima. Each row's distance to itself would refine
+      to exactly 0 and no distance is negative, so skipping the closest
+      point removes one 0 from the row; the inf removes the same value, so
+      a duplicate's 0 stays in. Any off-diagonal entry at or below the
+      cutoff puts its row under the gate, so the refined entries are those
+      of a compare over the whole block and every result is bitwise the
+      same; a block of distinct points skips the compare. Knocking out the
+      diagonal after the row minima would put every row under the gate.
     - Otherwise each row chunk meets all points, n_q x n entries in all, and
       the k-th smallest entry of each row is found in place: k - 1 times (k
       with exclude_self) the row's argmin entry is set to inf, then the row
@@ -244,7 +305,7 @@ def knn_distances(queries: Matrix, points: Matrix, k: int,
         raise ValueError("squared row norms must be finite; entries near 1e154 "
                          "or larger overflow them")
     if k == 1 and not exclude_self:
-        return np.sqrt(_sweep_nearest(queries, points, p2, scale))
+        return np.sqrt(_sweep_nearest(queries, q2, points, p2, scale))
     triangle = exclude_self and same and k == 1
     kth = k + (1 if exclude_self else 0)
     chunk = max(1, _KNN_CHUNK_ELEMS // points.shape[0])
@@ -259,13 +320,7 @@ def knn_distances(queries: Matrix, points: Matrix, k: int,
             d2 = _augmented_sq_dists(points[lo:hi], points_aug[lo:], p2[lo:hi],
                                      rows_buf)
             d2[rows, rows] = np.inf  # each row's distance to itself
-            row_min = d2.min(axis=1)
-            near = np.flatnonzero(row_min <= _SQDIST_REFINE_REL * scale)
-            if near.size:
-                refined = _refine_near_zero(d2[near], points[lo + near],
-                                            points[lo:], scale)
-                d2[near] = refined
-                row_min[near] = refined.min(axis=1)
+            row_min = _gated_row_minima(d2, points[lo:hi], points[lo:], scale)
             np.minimum(best[hi:], d2[:, hi - lo:].min(axis=0), out=best[hi:])
         else:
             d2 = pairwise_sq_dists(queries[lo:hi], points, p2, scale)

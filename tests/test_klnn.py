@@ -262,14 +262,23 @@ class TestKnnDistance:
         # half a step from two of them and reach a few points past a window
         # of 2, and one sits 40 off the axis, so its bound reaches about 40
         # points each side. One chunk of 9 rows in 3 groups per side: only
-        # the far row's group meets the far points, and no pair is met twice
+        # the far row's group meets the far points, and no pair is met twice.
+        # Both kernels are counted: the one-GEMM sides' points are
+        # -b_aug[:, :d] / 2, which is exact
         met = []
 
         def recording(a, b, *rest):
             met.extend((tuple(x), tuple(y)) for x in a for y in b)
             return pairwise_sq_dists(a, b, *rest)
 
+        def recording_aug(a, b_aug, *rest):
+            b = -b_aug[:, :a.shape[1]] / 2
+            met.extend((tuple(x), tuple(y)) for x in a for y in b)
+            return augmented(a, b_aug, *rest)
+
+        augmented = klnn._augmented_sq_dists
         monkeypatch.setattr(klnn, "pairwise_sq_dists", recording)
+        monkeypatch.setattr(klnn, "_augmented_sq_dists", recording_aug)
         monkeypatch.setattr(klnn, "_SWEEP_WINDOW", 2)
         monkeypatch.setattr(klnn, "_SWEEP_ROWS", 9)
         monkeypatch.setattr(klnn, "_SWEEP_GROUPS", 3)
@@ -291,14 +300,21 @@ class TestKnnDistance:
 
     def test_sweep_meets_a_point_at_the_bound(self, monkeypatch):
         # along the one axis the window of one point holds 3, so the query's
-        # bound is 3 and -3 lies on it, left of the window: it is met
+        # bound is 3 and -3 lies on it, left of the window: it is met, by
+        # the one-GEMM kernel, whose points are -b_aug[:, :d] / 2
         met = []
 
         def recording(a, b, *rest):
             met.extend(b[:, 0])
             return pairwise_sq_dists(a, b, *rest)
 
+        def recording_aug(a, b_aug, *rest):
+            met.extend(-b_aug[:, 0] / 2)
+            return augmented(a, b_aug, *rest)
+
+        augmented = klnn._augmented_sq_dists
         monkeypatch.setattr(klnn, "pairwise_sq_dists", recording)
+        monkeypatch.setattr(klnn, "_augmented_sq_dists", recording_aug)
         monkeypatch.setattr(klnn, "_SWEEP_WINDOW", 1)
         points = np.array([[-10.0], [-3.0], [3.0], [10.0]])
         assert knn_distances(np.zeros((1, 1)), points, 1)[0] == 3.0
@@ -327,15 +343,22 @@ class TestKnnDistance:
                                    rtol=1e-12, atol=0)
 
     def test_sweep_prunes_and_meets_each_pair_at_most_once(self, monkeypatch):
-        # rows x cols summed over the distance calls; the wrapper takes
-        # positional arguments only, as every call in klnn passes them
+        # rows x cols summed over the distance calls of both kernels; the
+        # wrappers take positional arguments only, as every call in klnn
+        # passes them
         calls = []
 
         def counting(a, b, *rest):
             calls.append(a.shape[0] * b.shape[0])
             return pairwise_sq_dists(a, b, *rest)
 
+        def counting_aug(a, b_aug, *rest):
+            calls.append(a.shape[0] * b_aug.shape[0])
+            return augmented(a, b_aug, *rest)
+
+        augmented = klnn._augmented_sq_dists
         monkeypatch.setattr(klnn, "pairwise_sq_dists", counting)
+        monkeypatch.setattr(klnn, "_augmented_sq_dists", counting_aug)
         reduced, original = gaussian_pair(43, 3000, 4, np.array([1.0, 0.0, 0.0, 0.0]))
         knn_distances(reduced, original, 1)
         assert sum(calls) < len(reduced) * len(original)
@@ -345,6 +368,84 @@ class TestKnnDistance:
         calls.clear()
         knn_distances(lifted, flat, 1)
         assert sum(calls) == 500 * 3000
+
+    def test_sweep_window_and_sides_take_their_own_kernels(self, monkeypatch):
+        # the window calls pairwise_sq_dists and the sides the one-GEMM
+        # block: on the lifted case, where every bound spans all points, both
+        # run and their entries sum to every pair once; a set no larger than
+        # the window has no sides, so it meets pairwise_sq_dists alone
+        calls = {"pairwise_sq_dists": [], "_augmented_sq_dists": []}
+
+        def counting(name):
+            kernel = getattr(klnn, name)
+
+            def count(a, b, *rest):
+                calls[name].append(a.shape[0] * b.shape[0])
+                return kernel(a, b, *rest)
+            return count
+
+        for name in calls:
+            monkeypatch.setattr(klnn, name, counting(name))
+        reduced, original = gaussian_pair(43, 3000, 4, np.array([1.0, 0.0, 0.0, 0.0]))
+        flat = np.hstack([original[:, :2], np.zeros((3000, 1))])
+        lifted = np.hstack([reduced[:500, :2], np.full((500, 1), 100.0)])
+        knn_distances(lifted, flat, 1)
+        assert sum(calls["pairwise_sq_dists"]) == 500 * klnn._SWEEP_WINDOW
+        assert calls["_augmented_sq_dists"]
+        assert sum(map(sum, calls.values())) == 500 * 3000
+        for counted in calls.values():
+            counted.clear()
+        small = original[:klnn._SWEEP_WINDOW]
+        knn_distances(reduced[:300], small, 1)
+        assert sum(calls["pairwise_sq_dists"]) == 300 * len(small)
+        assert not calls["_augmented_sq_dists"]
+
+    def test_sweep_refines_only_the_row_of_a_copy_beyond_the_window(self,
+                                                                    monkeypatch):
+        # points on the integers -100..100 of one axis plus a copy of the
+        # query c = (50 + 1/3, 0.7); one chunk holds c and eight queries half
+        # a step from the axis's middle points, so its window of 2 points
+        # sits there and c's copy lies right of it. Only c's side minimum is
+        # near zero, so its row alone passes the refine gate, and its nu
+        # reads exactly 0
+        refined = []
+        refine = klnn._refine_near_zero
+
+        def recording(d2, a, *rest):
+            refined.extend(tuple(row) for row in a)
+            return refine(d2, a, *rest)
+
+        monkeypatch.setattr(klnn, "_refine_near_zero", recording)
+        monkeypatch.setattr(klnn, "_SWEEP_WINDOW", 2)
+        copy = np.array([50 + 1 / 3, 0.7])
+        points = np.vstack([np.column_stack([np.arange(-100.0, 101.0), np.zeros(201)]),
+                            copy])
+        queries = np.vstack([np.column_stack([np.arange(-3.5, 4.0), np.zeros(8)]),
+                             copy])
+        nu = knn_distances(queries, points, 1)
+        assert np.array_equal(nu, [0.5] * 8 + [0.0])
+        assert refined == [tuple(copy)]
+
+    def test_dense_plan_scores_build_no_side_operand(self, monkeypatch):
+        # the kept rows of a rate-0.3 plan are 756 of the 1024 tokens, so
+        # each sweep chunk's copies lie inside its window and no row reaches
+        # a side: the only operand built is the rho triangle's, of the kept
+        # rows, and the sweep never builds one of all the tokens
+        built = []
+        augmented_points = klnn._augmented_points
+
+        def recording(b, *rest):
+            built.append(b.shape[0])
+            return augmented_points(b, *rest)
+
+        monkeypatch.setattr(klnn, "_augmented_points", recording)
+        grid = (4, 16, 16)
+        rng = make_rng(47)
+        tokens = rng.standard_normal((4 * 16 * 16, 64))
+        part = partition_3d(grid, (2, 2, 2), rng)
+        plan = build_plan(pairwise_best_match(tokens, part, "neg_euclidean"), part, 0.3)
+        assert np.isfinite(score_reduction(tokens, plan))
+        assert built == [plan.m]
 
     @pytest.mark.parametrize("n, d", [(5000, 4), (600, 64)])
     def test_self_search_matches_the_row_chunk_path(self, n, d):

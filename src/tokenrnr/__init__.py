@@ -5,7 +5,7 @@ Library layout:
 - core: matrices, softmax, 3D rotary embedding, seeded RNG
 - matching: strided 3D partitioning, similarity metrics, bipartite matching
 - rnr: reduction plans, reduce/restore, multi-head plain attention
-- klnn: k-NN Kullback-Leibler divergence estimation
+- klnn: nearest-neighbor (k = 1) Kullback-Leibler divergence estimation
 - schedule: similarity profiles, threshold schedules, matching cache, tuning
 - pipeline: the symmetric and asymmetric RnR operators and the synthetic
   multi-block denoising pipeline over 3D token grids that runs them

@@ -163,7 +163,7 @@ def _kl_score_for(cfg: PipelineConfig, rate: float) -> tuple[float, float]:
         kept = kept[::math.ceil(len(kept) / _KL_SCORE_CAP)]
     if len(original) > 2 * _KL_SCORE_CAP:
         original = original[::math.ceil(len(original) / (2 * _KL_SCORE_CAP))]
-    return kl_estimate(kept, original, k=1).value, part.dst_ratio
+    return kl_estimate(kept, original).value, part.dst_ratio
 
 
 def cmd_ablate(args) -> int:
@@ -242,7 +242,7 @@ def cmd_klcheck(args) -> int:
             rng = make_rng(args.seed_base + seed_offset + seed)
             original = rng.standard_normal((args.samples, d))
             reduced = transform(rng.standard_normal((args.samples, d)))
-            ests.append(kl_estimate(reduced, original, k=1).value)
+            ests.append(kl_estimate(reduced, original).value)
         return float(np.mean(ests))
 
     shift_mean = mean_estimate(0, lambda z: z + mu)
@@ -254,7 +254,7 @@ def cmd_klcheck(args) -> int:
         orig_full = rng.standard_normal((max(sweep_sizes), d))
         red_full = rng.standard_normal((max(sweep_sizes), d)) + mu
         for l in sweep_sizes:
-            est = kl_estimate(red_full[:l], orig_full[:l], k=1).value
+            est = kl_estimate(red_full[:l], orig_full[:l]).value
             sweep_errs[l].append(abs(est - closed_shift))
     sweep = {str(l): float(np.mean(v)) for l, v in sweep_errs.items()}
 

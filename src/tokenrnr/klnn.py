@@ -1,36 +1,37 @@
-"""k-nearest-neighbor Kullback-Leibler divergence estimation.
+"""Nearest-neighbor Kullback-Leibler divergence estimation.
 
-Given samples X' ~ P' (l' rows) and X ~ P (l rows), the estimate is
+Given samples X' ~ P' (l' rows) and X ~ P (l rows), the estimate at k = 1 is
 
-    D(P'||P) ~= (d / l') * sum_i log(nu_k(i) / rho_k(i)) + log(l / (l' - 1))
+    D(P'||P) ~= (d / l') * sum_i log(nu(i) / rho(i)) + log(l / (l' - 1))
 
-where rho_k(i) is the distance from X'_i to its k-th nearest neighbor within
-X' (excluding itself) and nu_k(i) the distance to its k-th nearest neighbor
-in X. Neighbor search is exact. Every distance comes from one kernel call
+where rho(i) is the distance from X'_i to its nearest neighbor within X'
+(excluding itself) and nu(i) the distance to its nearest neighbor in X.
+Every caller uses k = 1, so the search finds nearest neighbors only.
+Neighbor search is exact. Every distance comes from one kernel call
 per block of rows and columns, made with the squared norms of both sets and
 the refine scale computed once per search, and every entry a result can
 read at or below `_SQDIST_REFINE_REL * scale` is recomputed by direct
 differences, so coincident rows read exactly 0 and which entries are
 refined does not depend on how a search is split. Two kernels serve the
-routes below. The sweep's window and the knockouts call
+two routes below. The sweep's window calls
 `pairwise_sq_dists` (broadcast add, GEMM with the 2 of 2 x.y folded into
 its operand, subtract, refine compare). The window is the one part every
 sweep runs, small sets included, so it keeps that kernel: the benchmark's
 tracer times every `kl` pass's distances at
 `tokenrnr.klnn.pairwise_sq_dists` and requires the pass to enter it, the
-sort oracle checks the window (k = 1 inside one window) and the knockouts
-bitwise against sorted `pairwise_sq_dists` rows, and moving either onto
-the other kernel waits for the benchmark to retarget that span (ROADMAP
-item 1). The sweep's sides and the triangle call `_augmented_sq_dists`,
-one GEMM of the rows [x, 1, |x|^2] against the points [-2y, |y|^2, 1] per
-block, off by about 2 (d + 3) eps scale at most, far below the refine
-cutoff; `_gated_row_minima` then refines only the rows whose minimum is at
-or below the cutoff. Every entry at or below the cutoff lies in such a row,
-so the same entries are refined as by a compare over the whole block, and
-a block of distinct points skips the compare. A search takes one of three
+sort oracle checks the window bitwise against sorted `pairwise_sq_dists`
+rows, and moving it onto the other kernel waits for the benchmark to
+retarget that span (ROADMAP item 1). The sweep's sides and the triangle
+call `_augmented_sq_dists`, one GEMM of the rows [x, 1, |x|^2] against the
+points [-2y, |y|^2, 1] per block, off by about 2 (d + 3) eps scale at
+most, far below the refine cutoff; `_gated_row_minima` then refines only
+the rows whose minimum is at or below the cutoff. Every entry at or below
+the cutoff lies in such a row, so the same entries are refined as by a
+compare over the whole block, and a block of distinct points skips the
+compare. A search takes one of two
 routes:
 
-- The sweep, for k = 1 without exclude_self (every nu), after Friedman,
+- The sweep, without exclude_self (every nu), after Friedman,
   Baskett and Shustek (1975). Both sets are projected on the points'
   leading principal axis u, the top eigenvector of their d x d scatter, and
   the points are sorted by projection once. The queries are taken in
@@ -63,30 +64,24 @@ routes:
   pruned. On the `kl` benchmark's ten 5000 x 4 Gaussian pairs the window
   meets 16.0M entries, at four passes each, and the groups 60.4M side
   entries, at one pass each, where the rows' own runs hold 37.4M.
-- The triangle, for a k = 1 self search (rho: `exclude_self` with
+- The triangle, for a self search (every rho: `exclude_self`, which takes
   `queries is points`), uses the symmetry of the distance matrix: row
   chunks of at most `_KNN_CHUNK_ELEMS` entries, chunk [lo, hi) meeting
   columns [lo, n) only, n(n + h)/2 entries for chunk height h instead of
-  n^2; the column minima right of its square block update the rows below.
-  A column minimum is the nearest neighbor those rows need; the k-th would
-  need the k smallest of each column kept across chunks, so the triangle
-  is k = 1 only. Each block is one `_augmented_sq_dists` GEMM, whose
-  points' operand is built once per search; the chunk's rows go into one
-  reused (h, d + 2) buffer. The triangle prunes nothing, so it needs no
-  margin.
+  n^2; the column minima right of its square block update the rows below,
+  since a column minimum is the nearest neighbor those rows need. Each
+  block is one `_augmented_sq_dists` GEMM, whose points' operand is built
+  once per search; the chunk's rows go into one reused (h, d + 2) buffer.
+  The triangle prunes nothing, so it needs no margin.
   The block's diagonal (each row against itself, always near 0) is set to
   inf before the refine gate takes the row minima, so only rows with a
-  near-zero off-diagonal entry are refined. The column minima are taken
-  last, from the refined block.
-- The knockouts, for every other search (k >= 2, or exclude_self across
-  two sets), meet all points in the same row chunks, n_q x n entries, and
-  take each row's k-th smallest in place: the row minimum is set to inf
-  k - 1 times (k with exclude_self) before the row-min pass. No bound, no
-  margin.
-
-The package's callers use k = 1. At k = 1 `X` and `X.copy()` meet in
-differently shaped GEMMs, so they agree to rounding, not bitwise; at k >= 2
-both take the same chunks and agree bitwise.
+  near-zero off-diagonal entry are refined; knocking it out after the row
+  minima would put every row under the gate. Each row's distance to itself
+  would refine to exactly 0 and no distance is negative, so skipping the
+  closest point removes one 0 from the row; the inf removes the same
+  value, so a duplicate's 0 stays in. The column minima are taken last,
+  from the refined block, so every result is bitwise what a compare over
+  the whole block gives.
 
 Exact zero distances (coincident points) are floored at DISTANCE_FLOOR; the
 underlying theory assumes continuous densities where that event has measure
@@ -109,7 +104,7 @@ from .rnr import ReductionPlan
 
 DISTANCE_FLOOR = 1e-12
 
-# squared distances per query chunk (rows x columns met), as in matching
+# squared distances per triangle row chunk (rows x columns met), as in matching
 _KNN_CHUNK_ELEMS = 1 << 18
 # the sweep's query rows per chunk, the points each chunk's window meets
 # through pairwise_sq_dists, and the groups its rows are split into on each
@@ -217,72 +212,31 @@ def _sweep_nearest(queries: np.ndarray, q2: np.ndarray, points: np.ndarray,
     return best
 
 
-def knn_distances(queries: Matrix, points: Matrix, k: int,
+def knn_distances(queries: Matrix, points: Matrix,
                   exclude_self: bool = False) -> np.ndarray:
-    """Exact k-th nearest-neighbor L2 distance for each query row.
+    """Exact nearest-neighbor L2 distance from each query row to `points`.
 
-    With exclude_self, the single closest point is skipped for every query
-    (the convention for queries drawn from `points` itself). Distances are
-    selected on squared values and square-rooted afterwards; sqrt is monotone,
-    so the order statistic is unchanged. Both sets are taken as float64;
-    whether `queries is points` is decided before that cast.
-
-    Every distance is refined against the scale of the whole query and
-    point sets, so the result does not depend on how the search is split.
-    The three routes of the module note:
-
-    - k = 1 without exclude_self sweeps the points in the order of their
-      projection on their leading principal axis, `_SWEEP_ROWS` query rows
-      at a time: a window of `_SWEEP_WINDOW` points, met through
-      `pairwise_sq_dists`, then on each side of it the points within each
-      row's window distance plus a margin of 2 sqrt(_SQDIST_REFINE_REL *
-      scale) along that axis. Per side the rows that need any point there
-      are ordered by how far they reach and split into `_SWEEP_GROUPS`
-      groups, and each group meets the run out to its farthest row's reach
-      in one GEMM of the triangle's kind, refined by the triangle's
-      row-minimum gate; every row's own run lies in its group's, and a row
-      is in one group per side, so no pair is met twice: from
-      n_q x min(n, `_SWEEP_WINDOW`) to n_q x n entries. The sides' points
-      operand is built at the first group that needs one. Both kernels err
-      by less than the refine cutoff, so a pair the sweep leaves out
-      computes no smaller than the row's minimum, and the result is that
-      of a search of all pairs, up to the rounding of the kernels and of
-      differently shaped GEMMs.
-    - `queries is points` with exclude_self and k = 1 meets the upper
-      triangle in row chunks of `_KNN_CHUNK_ELEMS` entries, n(n + h)/2
-      entries for chunk height h, each block [lo, hi) x [lo, n) one GEMM
-      of the rows [x, 1, |x|^2] against the points [-2y, |y|^2, 1]. Its
-      rounding error, about 2 (d + 3) eps scale, stays far below the
-      refine cutoff, so the refine of `pairwise_sq_dists` applies
-      unchanged; the window and the knockouts keep calling that kernel
-      for the benchmark's traced span and the sort oracle's bitwise check.
-      Each block then, in this order, sets its diagonal (each row against
-      itself) to inf, takes the row minima, refines with
-      `_refine_near_zero` only the rows whose minimum is at or below the
-      cutoff (`_gated_row_minima`, shared with the sweep's sides), and
-      takes the column minima. Each row's distance to itself would refine
-      to exactly 0 and no distance is negative, so skipping the closest
-      point removes one 0 from the row; the inf removes the same value, so
-      a duplicate's 0 stays in. Any off-diagonal entry at or below the
-      cutoff puts its row under the gate, so the refined entries are those
-      of a compare over the whole block and every result is bitwise the
-      same; a block of distinct points skips the compare. Knocking out the
-      diagonal after the row minima would put every row under the gate.
-    - Otherwise each row chunk meets all points, n_q x n entries in all, and
-      the k-th smallest entry of each row is found in place: k - 1 times (k
-      with exclude_self) the row's argmin entry is set to inf, then the row
-      minimum is taken. Ties count with their multiplicity, as in a sort.
-      The triangle and the knockouts prune nothing, so they need no margin.
+    With exclude_self, each row's own entry is skipped: `queries` must then
+    be `points` itself (the same object, decided before the float64 cast),
+    and the result is each row's distance to its nearest other row, so a
+    duplicate row reads 0. Both sets are taken as float64.
 
     Both sets must be finite 2-D matrices with at least one column, the
-    same number of columns and finite squared row norms, k an integer (not
-    a bool) from 1 to the number of usable points, and exclude_self a bool.
+    same number of columns and finite squared row norms; `points` needs at
+    least one row, two with exclude_self, and exclude_self must be a bool.
+    Anything else raises ValueError before any distance is computed.
+
+    The result is exact: every distance is refined against the scale of the
+    whole query and point sets, so coincident rows read exactly 0 and the
+    result does not depend on how the search is split, and it is that of a
+    search of all pairs up to the rounding of differently shaped GEMMs. The
+    module note describes the two routes, the sweep and the triangle.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ValueError(f"k must be an integer, got {k!r}")
     if not isinstance(exclude_self, (bool, np.bool_)):
         raise ValueError(f"exclude_self must be a bool, got {exclude_self!r}")
     same = queries is points
+    if exclude_self and not same:
+        raise ValueError("exclude_self needs queries to be points itself")
     points = np.asarray(points, dtype=np.float64)
     queries = points if same else np.asarray(queries, dtype=np.float64)
     for what, mat in (("queries", queries), ("points", points)):
@@ -294,39 +248,29 @@ def knn_distances(queries: Matrix, points: Matrix, k: int,
     if queries.shape[1] != points.shape[1]:
         raise ValueError(f"queries have {queries.shape[1]} columns, "
                          f"points {points.shape[1]}")
-    usable = points.shape[0] - (1 if exclude_self else 0)
-    if k < 1 or k > usable:
-        raise ValueError(f"k={k} out of range for {points.shape[0]} points"
-                         f"{' (self-excluded)' if exclude_self else ''}")
+    n, d = points.shape
+    if n < 1 + exclude_self:
+        raise ValueError(f"no neighbor to find among {n} points")
     p2 = row_sq_norms(points)
     q2 = p2 if same else row_sq_norms(queries)
     scale = q2.max(initial=0.0) + p2.max(initial=0.0)
     if not math.isfinite(scale):
         raise ValueError("squared row norms must be finite; entries near 1e154 "
                          "or larger overflow them")
-    if k == 1 and not exclude_self:
+    if not exclude_self:
         return np.sqrt(_sweep_nearest(queries, q2, points, p2, scale))
-    triangle = exclude_self and same and k == 1
-    kth = k + (1 if exclude_self else 0)
-    chunk = max(1, _KNN_CHUNK_ELEMS // points.shape[0])
-    if triangle:
-        points_aug = _augmented_points(points, p2)
-        rows_buf = np.empty((chunk, points.shape[1] + 2))
-    best = np.full(queries.shape[0], np.inf)
-    for lo in range(0, queries.shape[0], chunk):
-        hi = min(lo + chunk, queries.shape[0])
+    chunk = max(1, _KNN_CHUNK_ELEMS // n)
+    points_aug = _augmented_points(points, p2)
+    rows_buf = np.empty((chunk, d + 2))
+    best = np.full(n, np.inf)
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
         rows = np.arange(hi - lo)
-        if triangle:
-            d2 = _augmented_sq_dists(points[lo:hi], points_aug[lo:], p2[lo:hi],
-                                     rows_buf)
-            d2[rows, rows] = np.inf  # each row's distance to itself
-            row_min = _gated_row_minima(d2, points[lo:hi], points[lo:], scale)
-            np.minimum(best[hi:], d2[:, hi - lo:].min(axis=0), out=best[hi:])
-        else:
-            d2 = pairwise_sq_dists(queries[lo:hi], points, p2, scale)
-            for _ in range(kth - 1):
-                d2[rows, d2.argmin(axis=1)] = np.inf
-            row_min = d2.min(axis=1)
+        d2 = _augmented_sq_dists(points[lo:hi], points_aug[lo:], p2[lo:hi],
+                                 rows_buf)
+        d2[rows, rows] = np.inf  # each row's distance to itself
+        row_min = _gated_row_minima(d2, points[lo:hi], points[lo:], scale)
+        np.minimum(best[hi:], d2[:, hi - lo:].min(axis=0), out=best[hi:])
         np.minimum(best[lo:hi], row_min, out=best[lo:hi])
     return np.sqrt(best)
 
@@ -334,18 +278,19 @@ def knn_distances(queries: Matrix, points: Matrix, k: int,
 def kl_estimate(reduced: Matrix, original: Matrix, k: int = 1) -> KlEstimate:
     """Estimate D(P'||P) from reduced ~ P' and original ~ P.
 
-    Both sets are taken as float64 once, and `knn_distances` checks them:
-    rho passes `reduced` as both queries and points, so at k = 1 it is a
-    self search that computes each pair once, and it needs l' >= k + 1; nu
-    searches `original`, by the projection sweep at k = 1, and needs l >= k
-    (module note).
+    k must be 1, the only neighbor rank the search finds; any other value,
+    a bool included, raises ValueError. Both sets are taken as float64
+    once, and `knn_distances` checks them: rho is the self search of
+    `reduced` and needs l' >= 2, nu searches `original` and needs l >= 1.
     """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k != 1:
+        raise ValueError("k must be an integer equal to 1 (nearest "
+                         f"neighbors only), got {k!r}")
     reduced = np.asarray(reduced, dtype=np.float64)
     original = np.asarray(original, dtype=np.float64)
-    rho = np.maximum(knn_distances(reduced, reduced, k, exclude_self=True),
+    rho = np.maximum(knn_distances(reduced, reduced, exclude_self=True),
                      DISTANCE_FLOOR)
-    nu = np.maximum(knn_distances(reduced, original, k, exclude_self=False),
-                    DISTANCE_FLOOR)
+    nu = np.maximum(knn_distances(reduced, original), DISTANCE_FLOOR)
     l_prime, d = reduced.shape
     l = original.shape[0]
     value = (d / l_prime) * float(np.log(nu / rho).sum()) + math.log(l / (l_prime - 1))
@@ -356,12 +301,13 @@ def score_reduction(tokens: Matrix, plan: ReductionPlan, k: int = 1) -> float:
     """Divergence score of a reduction plan: kept rows vs the full token set.
 
     Lower is better (the kept rows look more like the original distribution).
-    See the module note on the coincident-point floor.
+    k must be 1, as in `kl_estimate`. See the module note on the
+    coincident-point floor.
     """
     tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.shape[0] != plan.original_len:
         raise ValueError(
             f"token count {tokens.shape[0]} does not match plan over {plan.original_len}")
-    if plan.m <= k:
-        raise ValueError(f"plan keeps m={plan.m} rows, need more than k={k}")
+    if plan.m < 2:
+        raise ValueError(f"plan keeps m={plan.m} rows, need at least 2")
     return kl_estimate(tokens[plan.kept], tokens, k=k).value

@@ -95,7 +95,8 @@ def reduce_tokens(tokens: Matrix, plan: ReductionPlan, op: str = "discard") -> M
     """Shorten a token matrix to the plan's kept rows.
 
     discard copies kept rows verbatim; mean replaces each kept row by the
-    unweighted average of itself and all rows it represents.
+    unweighted average of itself and all rows it represents, in floating
+    point (integer tokens give float64, whatever the plan).
     """
     if op not in REDUCE_OPS:
         raise ValueError(f"unknown reduction op {op!r}, expected one of {REDUCE_OPS}")
@@ -103,6 +104,8 @@ def reduce_tokens(tokens: Matrix, plan: ReductionPlan, op: str = "discard") -> M
         raise ValueError(
             f"token count {tokens.shape[0]} does not match plan over {plan.original_len}")
     out = tokens[plan.kept]
+    if op == "mean":
+        out = out.astype(np.result_type(out, 1.0), copy=False)
     if op == "mean" and len(plan.discarded):
         targets = plan.row_map[plan.discarded]
         counts = np.ones(plan.m)
@@ -138,6 +141,7 @@ def attn_plain(q: Matrix, k: Matrix, v: Matrix, num_heads: int = 1,
       bound overshot its max so far that they underflow) is recomputed with
       the exact max shift.
     With one key the softmax is identically 1, and every row is V's row.
+    Integer matrices are taken as float64; float32 stays float32.
     """
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
         raise ValueError("attention expects 2-D Q, K, V")
@@ -154,13 +158,13 @@ def attn_plain(q: Matrix, k: Matrix, v: Matrix, num_heads: int = 1,
         counter.add(CostBreakdown(qk_matmul=m_q * m_kv * d,
                                   av_matmul=m_q * m_kv * d_v,
                                   softmax=SOFTMAX_COST_PER_ENTRY * m_q * m_kv * num_heads))
-    out = np.empty((m_q, d_v), dtype=np.result_type(q, k, v))
+    out = np.empty((m_q, d_v), dtype=np.result_type(q, k, v, 1.0))
     if m_kv == 1:
         out[:] = v
         return out
     d_h, dv_h = d // num_heads, d_v // num_heads
     chunk = max(1, min(m_q, _ATTN_CHUNK_ELEMS // max(1, m_kv)))
-    scores = np.empty((chunk, m_kv), dtype=np.result_type(q, k))
+    scores = np.empty((chunk, m_kv), dtype=np.result_type(q, k, 1.0))
     # [q_h / sqrt(d_h), -c] and [k_h, 1]; [v_h, 1] and its product's buffer
     q_ext = np.empty((m_q, d_h + 1), dtype=scores.dtype)
     k_ext = np.empty((m_kv, d_h + 1), dtype=scores.dtype)

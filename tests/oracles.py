@@ -100,25 +100,23 @@ def expansion_sq_dists(a, b, refine_scale=None):
     return d2
 
 
-def sort_based_knn(points, query, k, exclude_self=False):
-    """k-th order statistic by fully sorting all distances.
+def sort_based_knn(points, query, exclude_self=False):
+    """Nearest-neighbor distance by fully sorting all distances.
 
     Shares the library's distance kernel and checks the selection logic
-    independently (a full sort vs the library's argmin knockouts);
+    independently (a full sort vs the library's sweep and triangle minima);
     `naive_distances` below provides the independent-arithmetic route, which
     is tolerance-checked.
     """
     q = np.asarray(query, dtype=np.float64).reshape(1, -1)
     dists = np.sort(np.sqrt(pairwise_sq_dists(q, points)[0]))
-    if exclude_self:
-        dists = dists[1:]
-    return float(dists[k - 1])
+    return float(dists[1 if exclude_self else 0])
 
 
-def knn_density_kl(reduced, original, k):
-    """Mean log ratio of the k-NN density estimates at the reduced samples.
+def knn_density_kl(reduced, original):
+    """Mean log ratio of the 1-NN density estimates at the reduced samples.
 
-    The density estimate at x is k / (count * V_d * r^d), with r the k-th
+    The density estimate at x is 1 / (count * V_d * r^d), with r the nearest
     neighbor distance (from `sort_based_knn`), V_d the unit-ball volume and
     count l' - 1 within `reduced` (x itself excluded) or l within `original`.
     """
@@ -126,10 +124,10 @@ def knn_density_kl(reduced, original, k):
     ball = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
     logs = []
     for x in reduced:
-        rho = sort_based_knn(reduced, x, k, exclude_self=True)
-        nu = sort_based_knn(original, x, k)
-        p_hat = k / ((len(reduced) - 1) * ball * rho ** d)
-        q_hat = k / (len(original) * ball * nu ** d)
+        rho = sort_based_knn(reduced, x, exclude_self=True)
+        nu = sort_based_knn(original, x)
+        p_hat = 1 / ((len(reduced) - 1) * ball * rho ** d)
+        q_hat = 1 / (len(original) * ball * nu ** d)
         logs.append(math.log(p_hat / q_hat))
     return float(np.mean(logs))
 

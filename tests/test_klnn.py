@@ -22,59 +22,55 @@ def gaussian_pair(seed, l, d, mu):
 class TestKnnDistance:
     def test_coincident_query_without_exclusion(self):
         points = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 0.0]])
-        assert knn_distances(np.array([[0.0, 0.0]]), points, k=1)[0] == 0.0
+        assert knn_distances(np.array([[0.0, 0.0]]), points)[0] == 0.0
 
     def test_hand_countable_line(self):
         points = np.array([[0.0], [1.0], [3.0]])
-        q = np.array([[0.0]])
-        assert knn_distances(q, points, k=2, exclude_self=True)[0] == 3.0
-        assert knn_distances(q, points, k=1, exclude_self=True)[0] == 1.0
-        assert knn_distances(q, points, k=2, exclude_self=False)[0] == 1.0
+        assert np.array_equal(knn_distances(points, points, exclude_self=True),
+                              [1.0, 1.0, 2.0])
+        assert knn_distances(np.array([[2.5]]), points)[0] == 0.5
         # integer coordinates are taken as float64: an int64 block could not
-        # take the inf of the diagonal or a knockout (OverflowError), and
-        # 4e9^2 = 1.6e19 wraps in int64; in float64 every value here is exact
+        # take the inf of the diagonal (OverflowError), and 4e9^2 = 1.6e19
+        # wraps in int64; in float64 every value here is exact
         far = np.array([[0], [4_000_000_000], [9_000_000_000]])
-        assert np.array_equal(knn_distances(far, far, 1, exclude_self=True),
+        assert np.array_equal(knn_distances(far, far, exclude_self=True),
                               [4e9, 4e9, 5e9])
-        assert np.array_equal(knn_distances(far, far, 2, exclude_self=True),
-                              [9e9, 5e9, 9e9])
-        assert knn_distances(far[:1], far[1:], 1)[0] == 4e9
+        assert knn_distances(far[:1], far[1:])[0] == 4e9
 
     def test_against_sort_oracle(self):
         rng = make_rng(1)
         points = rng.standard_normal((40, 5))
         for seed in range(20):
             q = make_rng(100 + seed).standard_normal(5)
-            for k in (1, 3, 7):
-                got = knn_distances(q[None], points, k)[0]
-                want = sort_based_knn(points, q, k)
-                assert got == want
+            assert knn_distances(q[None], points)[0] == sort_based_knn(points, q)
 
     def test_self_exclusion_against_sort_oracle(self):
+        # the triangle's one-GEMM block and the oracle's kernel round
+        # differently, so they agree to rounding, not bitwise
         rng = make_rng(2)
         points = rng.standard_normal((25, 3))
+        got = knn_distances(points, points, exclude_self=True)
         for i in range(25):
-            got = knn_distances(points[i:i + 1], points, k=2, exclude_self=True)[0]
-            want = sort_based_knn(points, points[i], k=2, exclude_self=True)
-            assert got == want
+            assert got[i] == pytest.approx(
+                sort_based_knn(points, points[i], exclude_self=True), rel=1e-12)
 
     def test_distance_values_match_naive_formula(self):
         rng = make_rng(15)
         points = rng.standard_normal((60, 6))
         for seed in range(10):
             q = make_rng(500 + seed).standard_normal(6)
-            naive_sorted = np.sort(naive_distances(points, q))
-            for k in (1, 4):
-                assert knn_distances(q[None], points, k)[0] == pytest.approx(
-                    float(naive_sorted[k - 1]), rel=1e-12, abs=1e-12)
+            assert knn_distances(q[None], points)[0] == pytest.approx(
+                float(naive_distances(points, q).min()), rel=1e-12, abs=1e-12)
 
     def test_k_out_of_range(self):
-        points = np.ones((3, 2))
-        q = np.zeros((1, 2))
-        with pytest.raises(ValueError, match="k="):
-            knn_distances(q, points, k=4)
-        with pytest.raises(ValueError, match="k="):
-            knn_distances(q, points, k=3, exclude_self=True)
+        # the one neighbor searched for (k = 1) must exist: one point, two
+        # when a row's own entry is skipped
+        with pytest.raises(ValueError, match="no neighbor to find among 0 points"):
+            knn_distances(np.zeros((1, 2)), np.ones((0, 2)))
+        one = np.ones((1, 2))
+        with pytest.raises(ValueError, match="no neighbor to find among 1 points"):
+            knn_distances(one, one, exclude_self=True)
+        assert knn_distances(np.zeros((1, 2)), one)[0] == math.sqrt(2.0)
 
     @pytest.mark.parametrize("queries, points, k, match", [
         (np.zeros(2), np.ones((3, 2)), 1, "queries must be a 2-D matrix"),
@@ -95,11 +91,16 @@ class TestKnnDistance:
         (np.zeros((1, 2)), np.ones((3, 2)), (1, np.int64(1)),
          "exclude_self must be a bool"),
         (np.zeros((1, 0)), np.ones((3, 0)), 1, "queries must be a 2-D matrix"),
+        (np.ones((3, 2)), np.ones((3, 2)), (1, True),
+         "exclude_self needs queries to be points itself"),
     ])
     def test_malformed_inputs_rejected(self, monkeypatch, queries, points, k, match):
         # each is refused by name before any distance work starts, and all
-        # but an overflowing norm before any norm is computed; a (k,
-        # exclude_self) pair passes exclude_self too
+        # but an overflowing norm before any norm is computed. k is the
+        # neighbor rank asked for: a row at k = 1 searches, and a (1,
+        # exclude_self) pair passes exclude_self too (the last row's two
+        # sets are equal but not the same object); any other k goes to
+        # kl_estimate, the one place a k is still taken
         def refuse(what):
             def fail(*_):
                 raise AssertionError(f"{what} computed before the input checks")
@@ -109,15 +110,23 @@ class TestKnnDistance:
             monkeypatch.setattr(klnn, "row_sq_norms", refuse("norms"))
         k, exclude_self = k if isinstance(k, tuple) else (k, False)
         with pytest.raises(ValueError, match=match):
-            knn_distances(queries, points, k, exclude_self=exclude_self)
+            if k == 1 and not isinstance(k, bool):
+                knn_distances(queries, points, exclude_self=exclude_self)
+            else:
+                kl_estimate(queries, points, k=k)
 
     def test_numpy_bool_exclude_self_accepted(self):
         points = np.array([[0.0], [1.0], [3.0]])
-        assert knn_distances(points, points, 1, exclude_self=np.True_)[0] == 1.0
+        assert knn_distances(points, points, exclude_self=np.True_)[0] == 1.0
 
     def test_numpy_integer_k_accepted(self):
-        points = np.array([[0.0], [1.0], [3.0]])
-        assert knn_distances(np.zeros((1, 1)), points, np.int64(2))[0] == 1.0
+        # kl_estimate and score_reduction take k = 1 only, as any integer type
+        tokens = np.array([[0.0], [1.0], [3.0]])
+        plan = ReductionPlan(kept=np.array([0, 1]), discarded=np.array([2]),
+                             reps=np.array([1]), original_len=3)
+        one = np.int64(1)
+        assert kl_estimate(tokens, tokens[:2], k=one) == kl_estimate(tokens, tokens[:2])
+        assert score_reduction(tokens, plan, k=one) == score_reduction(tokens, plan)
 
     def test_batch_matches_single(self):
         # batched and single-query calls hit different BLAS kernel shapes,
@@ -125,10 +134,10 @@ class TestKnnDistance:
         rng = make_rng(3)
         points = rng.standard_normal((30, 4))
         queries = rng.standard_normal((8, 4))
-        batch = knn_distances(queries, points, k=2)
+        batch = knn_distances(queries, points)
         for i in range(len(queries)):
             assert batch[i] == pytest.approx(
-                knn_distances(queries[i:i + 1], points, k=2)[0], rel=1e-12)
+                knn_distances(queries[i:i + 1], points)[0], rel=1e-12)
 
     @pytest.mark.parametrize("chunk_rows", [2, 7, 20])
     def test_near_zero_refine_does_not_depend_on_chunking(self, monkeypatch,
@@ -144,51 +153,42 @@ class TestKnnDistance:
         monkeypatch.setattr(klnn, "_SWEEP_ROWS", chunk_rows)
         monkeypatch.setattr(klnn, "_SWEEP_WINDOW", 64)
         want = np.sqrt(((queries[3] - points) ** 2).sum(1)).min()
-        assert knn_distances(queries, points, 1)[3] == want
+        assert knn_distances(queries, points)[3] == want
 
     @pytest.mark.parametrize("exclude_self", [False, True])
     def test_selection_is_exact_with_ties_across_chunks(self, monkeypatch,
                                                         exclude_self):
         # integer coordinates make every distance exact, and each point is
-        # present 2-3 times, so every row has ties; 23 queries in chunks of 5
-        # rows give four full chunks and a short last one. The int64 sets
+        # present 2-3 times, so every row has ties. Without exclude_self 23
+        # queries meet the points in sweep chunks of 5 rows; with it the
+        # points meet themselves in triangle chunks of 5 rows against the
+        # columns right of them, which split the runs of copies. Both give
+        # four or more full chunks and a short last one. The int64 sets
         # themselves give the same bits as their float64 copies.
         rng = make_rng(11)
         uniq = rng.integers(-3, 4, size=(12, 3))
         int_points = np.repeat(uniq, rng.integers(2, 4, size=12), axis=0)
-        int_queries = np.vstack([int_points[:17], rng.integers(-3, 4, size=(6, 3))])
+        int_queries = (int_points if exclude_self else
+                       np.vstack([int_points[:17], rng.integers(-3, 4, size=(6, 3))]))
         points = int_points.astype(np.float64)
-        queries = int_queries.astype(np.float64)
+        queries = points if exclude_self else int_queries.astype(np.float64)
+        assert len(queries) % 5 != 0
         monkeypatch.setattr(klnn, "_KNN_CHUNK_ELEMS", 5 * len(points))
+        monkeypatch.setattr(klnn, "_SWEEP_ROWS", 5)
         skip = 1 if exclude_self else 0
         direct = np.sort(np.sqrt(((queries[:, None, :] - points[None]) ** 2).sum(2)),
                          axis=1)
-        for k in range(1, 5):
-            got = knn_distances(queries, points, k, exclude_self=exclude_self)
-            assert np.array_equal(got, direct[:, k - 1 + skip])
-            assert np.array_equal(
-                knn_distances(int_queries, int_points, k, exclude_self=exclude_self),
-                got)
-        if exclude_self:
-            # queries is points: at k = 1 chunks of 5 rows against the
-            # columns right of them split the runs of copies, and the last
-            # chunk is short; at k >= 2 the chunks meet every column
-            assert len(points) % 5 != 0
-            self_sorted = np.sort(
-                np.sqrt(((points[:, None, :] - points[None]) ** 2).sum(2)), axis=1)
-            for k in (1, 2, 3, 4, len(points) - 1):
-                got = knn_distances(points, points, k, exclude_self=True)
-                assert np.array_equal(got, self_sorted[:, k])
-                assert np.array_equal(
-                    knn_distances(int_points, int_points, k, exclude_self=True), got)
+        got = knn_distances(queries, points, exclude_self=exclude_self)
+        assert np.array_equal(got, direct[:, skip])
+        assert np.array_equal(
+            knn_distances(int_queries, int_points, exclude_self=exclude_self), got)
 
     def test_self_search_computes_each_pair_once(self, monkeypatch):
-        # rows x cols summed over the distance calls of each kernel: a k = 1
-        # self search visits the upper triangle in chunks of h rows through
-        # the one-GEMM block, at most n(n + h)/2 entries, also on an integer
-        # set, whose cast keeps it one object; a self search at k >= 2 and a
-        # cross search compute every query-point pair through
-        # pairwise_sq_dists; no call holds more than a row chunk
+        # rows x cols summed over the distance calls of each kernel: a self
+        # search visits the upper triangle in chunks of h rows through the
+        # one-GEMM block, at most n(n + h)/2 entries, also on an integer set,
+        # whose cast keeps it one object; it never calls pairwise_sq_dists,
+        # and no call holds more than a row chunk
         calls = {"_augmented_sq_dists": [], "pairwise_sq_dists": []}
 
         def counting(name):
@@ -206,26 +206,13 @@ class TestKnnDistance:
         n = len(points)
         h = klnn._KNN_CHUNK_ELEMS // n
         ints = np.rint(100 * points).astype(np.int64)
-        for pts, k, most, name in (
-                (points, 1, n * (n + h) // 2, "_augmented_sq_dists"),
-                (ints, 1, n * (n + h) // 2, "_augmented_sq_dists"),
-                (points, 3, n * n, "pairwise_sq_dists")):
+        for pts in (points, ints):
             for counted in calls.values():
                 counted.clear()
-            knn_distances(pts, pts, k, exclude_self=True)
-            assert sum(calls[name]) <= most
-            assert max(calls[name]) <= h * n
-            assert all(not counted for other, counted in calls.items()
-                       if other != name)
-        assert sum(calls["pairwise_sq_dists"]) == n * n
-        queries = rng.standard_normal((300, 3))
-        calls["pairwise_sq_dists"].clear()
-        knn_distances(queries, points, 2, exclude_self=True)
-        assert sum(calls["pairwise_sq_dists"]) == len(queries) * n
-        calls["pairwise_sq_dists"].clear()
-        knn_distances(points, points.copy(), 1, exclude_self=True)
-        assert sum(calls["pairwise_sq_dists"]) == n * n
-        assert not calls["_augmented_sq_dists"]
+            knn_distances(pts, pts, exclude_self=True)
+            assert sum(calls["_augmented_sq_dists"]) <= n * (n + h) // 2
+            assert max(calls["_augmented_sq_dists"]) <= h * n
+            assert not calls["pairwise_sq_dists"]
 
     @pytest.mark.parametrize("window, rows", [(8, 3), (1024, 26)])
     def test_sweep_equals_the_sort_on_integer_ties(self, monkeypatch, window, rows):
@@ -239,7 +226,7 @@ class TestKnnDistance:
         points = np.repeat(uniq, rng.integers(2, 4, size=40), axis=0)
         queries = np.vstack([points[::3], rng.integers(-6, 7, size=(30, 3))])
         direct = np.sqrt(((queries[:, None, :] - points[None]) ** 2).sum(2))
-        assert np.array_equal(knn_distances(queries, points, 1), direct.min(axis=1))
+        assert np.array_equal(knn_distances(queries, points), direct.min(axis=1))
 
     def test_sweep_groups_equal_the_sort_on_integer_ties(self, monkeypatch):
         # the same tied integer sets as above, with one group per side, a
@@ -255,7 +242,7 @@ class TestKnnDistance:
             monkeypatch.setattr(klnn, "_SWEEP_WINDOW", window)
             monkeypatch.setattr(klnn, "_SWEEP_ROWS", rows)
             monkeypatch.setattr(klnn, "_SWEEP_GROUPS", groups)
-            assert np.array_equal(knn_distances(queries, points, 1), want)
+            assert np.array_equal(knn_distances(queries, points), want)
 
     def test_sweep_groups_meet_fewer_entries_than_the_union(self, monkeypatch):
         # points on the integers -100..100 of one axis; eight queries sit
@@ -285,7 +272,7 @@ class TestKnnDistance:
         points = np.column_stack([np.arange(-100.0, 101.0), np.zeros(201)])
         queries = np.vstack([np.column_stack([np.arange(-3.5, 4.0), np.zeros(8)]),
                              [[0.0, 40.0]]])
-        assert np.array_equal(knn_distances(queries, points, 1), [0.5] * 8 + [40.0])
+        assert np.array_equal(knn_distances(queries, points), [0.5] * 8 + [40.0])
         assert len(met) == len(set(met))
         columns = {y for _, y in met}
         assert len(columns) >= 2 + 2 * 38  # the far row's sides were met
@@ -295,7 +282,7 @@ class TestKnnDistance:
     def test_sweep_matches_naive_distances_on_gaussians(self):
         reduced, original = gaussian_pair(41, 2000, 4, np.array([1.0, 0.0, 0.0, 0.0]))
         want = [naive_distances(original, q).min() for q in reduced]
-        np.testing.assert_allclose(knn_distances(reduced, original, 1), want,
+        np.testing.assert_allclose(knn_distances(reduced, original), want,
                                    rtol=1e-12, atol=0)
 
     def test_sweep_meets_a_point_at_the_bound(self, monkeypatch):
@@ -317,7 +304,7 @@ class TestKnnDistance:
         monkeypatch.setattr(klnn, "_augmented_sq_dists", recording_aug)
         monkeypatch.setattr(klnn, "_SWEEP_WINDOW", 1)
         points = np.array([[-10.0], [-3.0], [3.0], [10.0]])
-        assert knn_distances(np.zeros((1, 1)), points, 1)[0] == 3.0
+        assert knn_distances(np.zeros((1, 1)), points)[0] == 3.0
         assert sorted(met) == [-3.0, 3.0]
 
     def test_sweep_degenerate_sets(self, monkeypatch):
@@ -325,20 +312,20 @@ class TestKnnDistance:
         monkeypatch.setattr(klnn, "_SWEEP_WINDOW", 16)
         rng = make_rng(42)
         queries = rng.integers(-5, 6, size=(40, 3))
-        assert knn_distances(queries[:0], queries, 1).shape == (0,)
+        assert knn_distances(queries[:0], queries).shape == (0,)
         # every point on one projection value: the scatter is 0
         same = np.tile([1, -2, 3], (100, 1))
-        assert np.array_equal(knn_distances(queries, same, 1),
+        assert np.array_equal(knn_distances(queries, same),
                               np.sqrt(((queries - same[0]) ** 2).sum(1)))
         # d = 1
         line = rng.integers(-50, 51, size=(300, 1))
-        assert np.array_equal(knn_distances(queries[:, :1], line, 1),
+        assert np.array_equal(knn_distances(queries[:, :1], line),
                               np.abs(queries[:, :1] - line.T).min(axis=1))
         # entries near 1e153 over 2000 rows overflow the scatter, and the
         # sweep falls back to the first coordinate axis
         big = rng.standard_normal((2000, 3)) * 1e153
         near = rng.standard_normal((30, 3)) * 1e153
-        np.testing.assert_allclose(knn_distances(near, big, 1),
+        np.testing.assert_allclose(knn_distances(near, big),
                                    np.sqrt(pairwise_sq_dists(near, big).min(axis=1)),
                                    rtol=1e-12, atol=0)
 
@@ -360,13 +347,13 @@ class TestKnnDistance:
         monkeypatch.setattr(klnn, "pairwise_sq_dists", counting)
         monkeypatch.setattr(klnn, "_augmented_sq_dists", counting_aug)
         reduced, original = gaussian_pair(43, 3000, 4, np.array([1.0, 0.0, 0.0, 0.0]))
-        knn_distances(reduced, original, 1)
+        knn_distances(reduced, original)
         assert sum(calls) < len(reduced) * len(original)
         # queries 100 off the points' plane: every bound spans all points
         flat = np.hstack([original[:, :2], np.zeros((3000, 1))])
         lifted = np.hstack([reduced[:500, :2], np.full((500, 1), 100.0)])
         calls.clear()
-        knn_distances(lifted, flat, 1)
+        knn_distances(lifted, flat)
         assert sum(calls) == 500 * 3000
 
     def test_sweep_window_and_sides_take_their_own_kernels(self, monkeypatch):
@@ -389,14 +376,14 @@ class TestKnnDistance:
         reduced, original = gaussian_pair(43, 3000, 4, np.array([1.0, 0.0, 0.0, 0.0]))
         flat = np.hstack([original[:, :2], np.zeros((3000, 1))])
         lifted = np.hstack([reduced[:500, :2], np.full((500, 1), 100.0)])
-        knn_distances(lifted, flat, 1)
+        knn_distances(lifted, flat)
         assert sum(calls["pairwise_sq_dists"]) == 500 * klnn._SWEEP_WINDOW
         assert calls["_augmented_sq_dists"]
         assert sum(map(sum, calls.values())) == 500 * 3000
         for counted in calls.values():
             counted.clear()
         small = original[:klnn._SWEEP_WINDOW]
-        knn_distances(reduced[:300], small, 1)
+        knn_distances(reduced[:300], small)
         assert sum(calls["pairwise_sq_dists"]) == 300 * len(small)
         assert not calls["_augmented_sq_dists"]
 
@@ -422,7 +409,7 @@ class TestKnnDistance:
                             copy])
         queries = np.vstack([np.column_stack([np.arange(-3.5, 4.0), np.zeros(8)]),
                              copy])
-        nu = knn_distances(queries, points, 1)
+        nu = knn_distances(queries, points)
         assert np.array_equal(nu, [0.5] * 8 + [0.0])
         assert refined == [tuple(copy)]
 
@@ -447,22 +434,6 @@ class TestKnnDistance:
         assert np.isfinite(score_reduction(tokens, plan))
         assert built == [plan.m]
 
-    @pytest.mark.parametrize("n, d", [(5000, 4), (600, 64)])
-    def test_self_search_matches_the_row_chunk_path(self, n, d):
-        # at k = 1 `points` against itself meets the upper triangle and
-        # against a copy every pair; their GEMM shapes differ, so they may
-        # differ by rounding only. At k >= 2 both meet every pair in the same
-        # chunks and agree bitwise.
-        rng = make_rng(22)
-        points = rng.standard_normal((n, d))
-        for k in (1, 2, 4):
-            got = knn_distances(points, points, k, exclude_self=True)
-            want = knn_distances(points, points.copy(), k, exclude_self=True)
-            if k == 1:
-                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-            else:
-                assert np.array_equal(got, want)
-
     @pytest.mark.parametrize("chunk_rows", [1, 2, 7, 12, 20])
     def test_triangle_near_zero_refine_does_not_depend_on_chunking(
             self, monkeypatch, chunk_rows):
@@ -475,7 +446,7 @@ class TestKnnDistance:
         points[15] *= 1e3
         monkeypatch.setattr(klnn, "_KNN_CHUNK_ELEMS", chunk_rows * len(points))
         want = np.sqrt(((points[3] - points[11]) ** 2).sum())
-        rho = knn_distances(points, points, 1, exclude_self=True)
+        rho = knn_distances(points, points, exclude_self=True)
         assert rho[3] == want
         assert rho[11] == want
 
@@ -493,7 +464,7 @@ class TestKnnDistance:
 
         monkeypatch.setattr(klnn, "_refine_near_zero", recording)
         points = make_rng(45).standard_normal((2000, 4))
-        knn_distances(points, points, 1, exclude_self=True)
+        knn_distances(points, points, exclude_self=True)
         assert not refined
         h = klnn._KNN_CHUNK_ELEMS // len(points)
         # rows 5 and 7 share a chunk, so both blocks hold the pair; row 1500
@@ -503,27 +474,26 @@ class TestKnnDistance:
             dup = points.copy()
             dup[j] = dup[i]
             refined.clear()
-            rho = knn_distances(dup, dup, 1, exclude_self=True)
+            rho = knn_distances(dup, dup, exclude_self=True)
             assert rho[i] == 0.0 and rho[j] == 0.0
             assert refined == [tuple(dup[i])] * rows
 
-    @pytest.mark.parametrize("n, d", [(2000, 4), (500, 64)])
+    @pytest.mark.parametrize("n, d", [(2000, 4), (500, 64), (5000, 4), (600, 64)])
     def test_triangle_matches_naive_distances_on_gaussians(self, n, d):
         points = make_rng(44).standard_normal((n, d))
         want = [np.delete(naive_distances(points, q), i).min()
                 for i, q in enumerate(points)]
-        np.testing.assert_allclose(knn_distances(points, points, 1, exclude_self=True),
+        np.testing.assert_allclose(knn_distances(points, points, exclude_self=True),
                                    want, rtol=1e-12, atol=0)
 
     def test_self_search_degenerate_sets(self):
         # all-zero rows make the refine scale 0 and every distance exactly 0;
         # two rows leave one pair
         zeros = np.zeros((7, 3))
-        for k in (1, 2, 6):
-            assert np.array_equal(knn_distances(zeros, zeros, k, exclude_self=True),
-                                  np.zeros(7))
+        assert np.array_equal(knn_distances(zeros, zeros, exclude_self=True),
+                              np.zeros(7))
         two = np.array([[0.0, 1.0], [3.0, 5.0]])
-        assert np.array_equal(knn_distances(two, two, 1, exclude_self=True),
+        assert np.array_equal(knn_distances(two, two, exclude_self=True),
                               [5.0, 5.0])
 
 
@@ -532,13 +502,13 @@ class TestKlEstimate:
         rng = make_rng(4)
         original = rng.standard_normal((4000, 3))
         reduced = rng.standard_normal((2000, 3))
-        est = kl_estimate(reduced, original, k=1)
+        est = kl_estimate(reduced, original)
         assert abs(est.value) < 0.15
 
     def test_mean_shift_gaussian_oracle(self):
         # closed form: KL(N(mu, I) || N(0, I)) = |mu|^2 / 2
         mu = np.array([1.0, 0.0, 0.0, 0.0])
-        ests = [kl_estimate(*gaussian_pair(1000 + s, 2000, 4, mu), k=1).value
+        ests = [kl_estimate(*gaussian_pair(1000 + s, 2000, 4, mu)).value
                 for s in range(5)]
         assert abs(float(np.mean(ests)) - 0.5) <= 0.12
 
@@ -552,36 +522,29 @@ class TestKlEstimate:
             rng = make_rng(3000 + s)
             original = rng.standard_normal((2000, d))
             reduced = rng.standard_normal((2000, d)) * np.sqrt(sigma2)
-            ests.append(kl_estimate(reduced, original, k=1).value)
+            ests.append(kl_estimate(reduced, original).value)
         assert abs(float(np.mean(ests)) - closed) <= 0.12
-
-    def test_higher_k_also_tracks_closed_form(self):
-        mu = np.array([1.0, 0.0, 0.0, 0.0])
-        ests = [kl_estimate(*gaussian_pair(5000 + s, 2000, 4, mu), k=4).value
-                for s in range(5)]
-        assert abs(float(np.mean(ests)) - 0.5) <= 0.12
 
     def test_permutation_invariance(self):
         rng = make_rng(6)
         reduced = rng.standard_normal((60, 3))
         original = rng.standard_normal((80, 3))
-        base = kl_estimate(reduced, original, k=2).value
+        base = kl_estimate(reduced, original).value
         perm = kl_estimate(reduced[rng.permutation(60)],
-                           original[rng.permutation(80)], k=2).value
+                           original[rng.permutation(80)]).value
         assert base == pytest.approx(perm, abs=1e-12)
 
     def test_reassembles_from_density_estimates(self):
-        # the estimator equals the mean log density ratio of the k-NN estimates
+        # the estimator equals the mean log density ratio of the 1-NN estimates
         rng = make_rng(7)
         reduced = rng.standard_normal((15, 3))
         original = rng.standard_normal((20, 3))
-        est = kl_estimate(reduced, original, k=2).value
-        assert est == pytest.approx(knn_density_kl(reduced, original, k=2), abs=1e-9)
+        est = kl_estimate(reduced, original).value
+        assert est == pytest.approx(knn_density_kl(reduced, original), abs=1e-9)
         # integer samples are taken as float64 (they used to raise OverflowError)
         ints = [np.rint(1000 * s).astype(np.int64) for s in (reduced, original)]
-        for k in (1, 2):
-            assert kl_estimate(*ints, k=k).value == pytest.approx(
-                knn_density_kl(*ints, k=k), abs=1e-9)
+        assert kl_estimate(*ints).value == pytest.approx(knn_density_kl(*ints),
+                                                         abs=1e-9)
 
     def test_nested_and_integer_lists_accepted(self):
         # reduced [0, 1, 3] against original [0, 2, 3] on a line: rho is
@@ -599,14 +562,23 @@ class TestKlEstimate:
 
     def test_degenerate_counts_rejected(self):
         with pytest.raises(ValueError):
-            kl_estimate(np.ones((1, 2)), np.ones((5, 2)), k=1)
+            kl_estimate(np.ones((1, 2)), np.ones((5, 2)))
         with pytest.raises(ValueError):
-            kl_estimate(np.ones((5, 2)), np.ones((5, 3)), k=1)
+            kl_estimate(np.ones((5, 2)), np.ones((5, 3)))
+        # the search finds nearest neighbors only, so any k but 1 is refused
+        tokens = make_rng(12).standard_normal((8, 2))
+        plan = ReductionPlan(kept=np.arange(6), discarded=np.array([6, 7]),
+                             reps=np.array([0, 1]), original_len=8)
+        for k in (2, True, 1.5):
+            with pytest.raises(ValueError, match="k must be an integer equal to 1"):
+                kl_estimate(tokens[:6], tokens, k=k)
+            with pytest.raises(ValueError, match="k must be an integer equal to 1"):
+                score_reduction(tokens, plan, k=k)
 
     def test_coincident_sets_hit_the_floor_without_nan(self):
         rng = make_rng(8)
         pts = rng.standard_normal((30, 3))
-        est = kl_estimate(pts, pts, k=1)
+        est = kl_estimate(pts, pts)
         assert np.isfinite(est.value)
         assert est.value < 0  # floored nu makes the value strongly negative
 
@@ -636,10 +608,10 @@ class TestScoreReduction:
         part = partition_3d((2, 4, 4), (2, 2, 2), rng)
         tokens = rng.standard_normal((part.n_tokens, 4))
         plan = build_plan(pairwise_best_match(tokens, part), part, 0.0)
-        value = score_reduction(tokens, plan, k=1)
+        value = score_reduction(tokens, plan)
         # self-comparison: every nu hits the floor; tracked for regression only
         assert np.isfinite(value) and value < 0
-        assert value == pytest.approx(score_reduction(tokens, plan, k=1))
+        assert value == pytest.approx(score_reduction(tokens, plan))
 
     def test_discarding_duplicates_scores_lower_than_discarding_unique(self):
         rng = make_rng(10)
@@ -658,8 +630,8 @@ class TestScoreReduction:
                                  discarded=np.sort(np.asarray(discard)),
                                  reps=reps, original_len=n)
 
-        dup_score = score_reduction(tokens, plan_for(dup_src), k=1)
-        uniq_score = score_reduction(tokens, plan_for(uniq_src), k=1)
+        dup_score = score_reduction(tokens, plan_for(dup_src))
+        uniq_score = score_reduction(tokens, plan_for(uniq_src))
         assert dup_score < uniq_score
 
     def test_matched_beats_random_on_clustered_tokens(self):
@@ -671,8 +643,8 @@ class TestScoreReduction:
                 pairwise_best_match(tokens, part, "neg_euclidean"), part, 0.45)
             random_plan = build_plan(
                 pairwise_best_match(tokens, part, "random", rng), part, 0.45)
-            wins += (score_reduction(tokens, matched, k=1)
-                     < score_reduction(tokens, random_plan, k=1))
+            wins += (score_reduction(tokens, matched)
+                     < score_reduction(tokens, random_plan))
         assert wins >= 16
 
     def test_random_scores_highest_among_metrics_on_clusters(self):
@@ -688,10 +660,10 @@ class TestScoreReduction:
                 + 1e-3 * rng.standard_normal((part.n_tokens, 8))
             rand_score = score_reduction(tokens, build_plan(
                 pairwise_best_match(tokens, part, "random", make_rng(99)),
-                part, 0.45), k=1)
+                part, 0.45))
             for m in metrics:
                 plan = build_plan(pairwise_best_match(tokens, part, m), part, 0.45)
-                wins[m] += rand_score > score_reduction(tokens, plan, k=1)
+                wins[m] += rand_score > score_reduction(tokens, plan)
         for m in metrics:
             assert wins[m] >= 16
 
@@ -700,4 +672,4 @@ class TestScoreReduction:
         plan = ReductionPlan(kept=np.array([0]), discarded=np.array([1, 2, 3]),
                              reps=np.array([0, 0, 0]), original_len=4)
         with pytest.raises(ValueError, match="m="):
-            score_reduction(tokens, plan, k=1)
+            score_reduction(tokens, plan)

@@ -1,12 +1,17 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tokenrnr
 from tokenrnr import pipeline as pipeline_mod
 from tokenrnr import schedule as schedule_mod
 from tokenrnr.core import make_rng
@@ -34,6 +39,22 @@ def aggressive_schedule(**overrides):
 
 
 RATES = st.sampled_from([0.0, 0.25, 0.5, 0.8])
+
+#: one small asym run in a fresh process: it prints each record's (t, b,
+#: m_q, m_kv) as JSON and saves the final tokens to the path it is given
+THREADED_RUN = """
+import json, sys
+import numpy as np
+from tokenrnr.pipeline import PipelineConfig, run_pipeline
+from tokenrnr.schedule import ScheduleConfig
+cfg = PipelineConfig(grid_shape=(4, 16, 16), feature_dim=64, num_heads=2,
+                     num_blocks=2, num_timesteps=4, seed=3, rnr_mode="asym",
+                     schedule=ScheduleConfig(rules={"Q": [(0.0, 0.5)], "V": [(0.0, 0.3)]},
+                                             cache_step=2))
+report = run_pipeline(cfg)
+np.save(sys.argv[1], report.final_tokens)
+print(json.dumps([[r.t, r.b, r.m_q, r.m_kv] for r in report.records]))
+"""
 
 
 @given(mode=st.sampled_from(["none", "sym", "asym"]), num_heads=st.integers(1, 2),
@@ -96,6 +117,27 @@ class TestDeterminismAndEquivalence:
         a = run_pipeline(small_cfg(rope=True))
         b = run_pipeline(small_cfg(rope=False))
         assert a.checksum != b.checksum
+
+    def test_blas_thread_count_keeps_every_plan(self, tmp_path):
+        # the BLAS thread count changes the last bits of some GEMM shapes, so
+        # a checksum holds per build and thread count. What must not move is
+        # a plan: one small asym config (seed fixed up front) run at 1 and 2
+        # OpenBLAS threads, each in its own process since the count is read
+        # at import, keeps every record's row counts, and its final tokens
+        # agree to rounding
+        src = str(Path(tokenrnr.__file__).resolve().parents[1])
+        runs = []
+        for threads in (1, 2):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=src)
+            out = tmp_path / f"final_{threads}.npy"
+            done = subprocess.run([sys.executable, "-c", THREADED_RUN, str(out)],
+                                  env=env, capture_output=True, text=True, check=True,
+                                  timeout=120)
+            runs.append((json.loads(done.stdout), np.load(out)))
+        (records_1, final_1), (records_2, final_2) = runs
+        assert len(records_1) == 2 * 4
+        assert records_1 == records_2
+        assert np.abs(final_1 - final_2).max() <= 1e-12 * np.abs(final_1).max()
 
 
 class TestScheduledRuns:

@@ -148,6 +148,22 @@ class TestReduceRestore:
         expected = mean_merge_rows(tokens, kept, dict(zip(discarded, reps)))
         assert np.abs(reduce_tokens(tokens, plan, "mean") - expected).max() <= 1e-12
 
+    def test_mean_of_integer_tokens_is_taken_as_float(self):
+        # the identity and every plan over 4 rows with one discard: integer
+        # tokens give the bits of their float64 copy, and float32 tokens
+        # stay float32
+        ints = np.arange(8).reshape(4, 2)
+        plans = [identity_plan(4)] + [single_rep_plan(4, discard, rep)
+                                      for discard in range(4)
+                                      for rep in set(range(4)) - {discard}]
+        for plan in plans:
+            got = reduce_tokens(ints, plan, "mean")
+            assert got.dtype == np.float64
+            assert np.array_equal(got, reduce_tokens(ints.astype(np.float64), plan,
+                                                     "mean"))
+            assert reduce_tokens(ints.astype(np.float32), plan,
+                                 "mean").dtype == np.float32
+
     def test_restore_replicates_representatives(self):
         rng = make_rng(8)
         tokens = rng.standard_normal((7, 3))
@@ -188,6 +204,20 @@ class TestAttnPlain:
         k = rng.standard_normal((1, 4))
         v = rng.standard_normal((1, 4))
         assert np.array_equal(attn_plain(q, k, v), v)
+
+    @pytest.mark.parametrize("n_kv", [1, 4])
+    def test_integer_matrices_are_taken_as_float(self, n_kv):
+        # integer Q, K and V give the bits of their float64 copies, with one
+        # key and with several; float32 stays float32
+        ints = np.arange(8).reshape(4, 2)
+        floats = ints.astype(np.float64)
+        for num_heads in (1, 2):
+            got = attn_plain(ints, ints[:n_kv], ints[:n_kv], num_heads=num_heads)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, attn_plain(floats, floats[:n_kv], floats[:n_kv],
+                                                  num_heads=num_heads))
+        single = floats.astype(np.float32)
+        assert attn_plain(single, single[:n_kv], single[:n_kv]).dtype == np.float32
 
     def test_identical_keys_give_uniform_mixing(self):
         rng = make_rng(11)
